@@ -274,10 +274,12 @@ type Config struct {
 	rgMemo *rgMemo
 }
 
-// rgMemo is the per-sweep rely-guarantee result cache.
+// rgMemo is the per-sweep rely-guarantee result cache. The mutex guards
+// only the key -> entry map; each entry proves its pair once, so parallel
+// workers prove different pairs concurrently and the same pair once.
 type rgMemo struct {
 	mu sync.Mutex
-	m  map[string]*rg.Result
+	m  map[string]*rgEntry
 	// hist, when non-nil, receives the engine's prove latency per cache
 	// miss (the "rg_prove_us" registry histogram).
 	hist *telemetry.Histogram
@@ -286,27 +288,42 @@ type rgMemo struct {
 	prefilter bool
 }
 
+// rgEntry is one cached pair: the first caller proves it, later callers
+// wait for that proof.
+type rgEntry struct {
+	once sync.Once
+	res  *rg.Result
+}
+
 // get returns the (cached) engine result for one (benchmark, model) pair. A
 // program the engine rejects outright counts as unproven with no ranges.
 func (c *rgMemo) get(b svcomp.Benchmark, model memmodel.Model, width int) *rg.Result {
 	key := b.Subcategory + "/" + b.Name + "@" + model.String()
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	if r, ok := c.m[key]; ok {
-		return r
+	ent, ok := c.m[key]
+	if !ok {
+		ent = &rgEntry{}
+		c.m[key] = ent
 	}
-	start := time.Now()
-	r, err := rg.Prove(b.Program, rg.Options{
-		Model: model, Width: width, Domain: c.domain, Prefilter: c.prefilter,
+	c.mu.Unlock()
+	ent.once.Do(func() {
+		start := time.Now()
+		r, err := rg.Prove(b.Program, rg.Options{
+			Model: model, Width: width, Domain: c.domain, Prefilter: c.prefilter,
+		})
+		if err != nil {
+			r = &rg.Result{}
+		}
+		if c.hist != nil {
+			c.hist.ObserveDuration(time.Since(start))
+		}
+		ent.res = r
 	})
-	if err != nil {
-		r = &rg.Result{}
+	if ent.res == nil {
+		// The first proof of this pair panicked; fail the same way.
+		panic("rg: proof of " + key + " panicked")
 	}
-	if c.hist != nil {
-		c.hist.ObserveDuration(time.Since(start))
-	}
-	c.m[key] = r
-	return r
+	return ent.res
 }
 
 // TraceFileName is the per-run trace file name under Config.TraceDir.
@@ -345,7 +362,7 @@ func (c *Config) fill() {
 		c.CheckpointEvery = 16
 	}
 	if c.RG && c.rgMemo == nil {
-		c.rgMemo = &rgMemo{m: map[string]*rg.Result{}, domain: c.RGDomain, prefilter: c.RGPrefilter}
+		c.rgMemo = &rgMemo{m: map[string]*rgEntry{}, domain: c.RGDomain, prefilter: c.RGPrefilter}
 		if c.Metrics != nil {
 			c.rgMemo.hist = c.Metrics.Histogram("rg_prove_us")
 		}

@@ -9,6 +9,7 @@ import (
 	"zpre/internal/core"
 	"zpre/internal/memmodel"
 	"zpre/internal/sat"
+	"zpre/internal/svcomp"
 )
 
 func smallConfig() Config {
@@ -368,5 +369,32 @@ func TestWriteJSON(t *testing.T) {
 		if r.Error != "" {
 			t.Fatalf("run %s: %s", r.Task, r.Error)
 		}
+	}
+}
+
+// TestMPLoopBaselineWidth32 is the regression test for a solver panic that
+// failed this run: chronological backtracking on a unit learnt clause left
+// the unit at a positive level without a reason, and conflict analysis
+// later indexed the clause arena with the null reference. The run must now
+// decide the program's ground-truth verdict.
+func TestMPLoopBaselineWidth32(t *testing.T) {
+	var task *Task
+	for _, b := range svcomp.All() {
+		if b.Subcategory == "wmm" && b.Name == "mp_loop_2" {
+			task = &Task{Bench: b, Model: memmodel.SC, Bound: 4}
+		}
+	}
+	if task == nil {
+		t.Fatal("missing wmm/mp_loop_2")
+	}
+	if task.Bench.Expected[memmodel.SC] != svcomp.ExpectSafe {
+		t.Fatal("wmm/mp_loop_2 is expected safe under SC")
+	}
+	r := RunOne(*task, core.Baseline, Config{Width: 32, Timeout: time.Minute, Seed: 1})
+	if r.Err != nil {
+		t.Fatalf("run failed: %v", r.Err)
+	}
+	if r.Status != sat.Unsat {
+		t.Fatalf("status %v, want unsat (safe)", r.Status)
 	}
 }

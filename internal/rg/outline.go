@@ -9,9 +9,19 @@ import (
 )
 
 // outlineLine is one statement of the final-round proof outline: the
-// stabilized precondition (per-variable hull plus disjunct count) at the
-// statement.
+// stabilized precondition at the statement, kept as its per-variable hull
+// and disjunct count (n == 0: unreachable). Lines are noted in every round
+// but only the final round's are shown, so rendering waits for
+// buildOutline.
 type outlineLine struct {
+	path string
+	stmt cprog.Stmt
+	hull []iv
+	n    int
+}
+
+// renderedLine is an outlineLine as FormatOutline prints it.
+type renderedLine struct {
 	path string
 	stmt string
 	pre  string
@@ -26,32 +36,39 @@ type outlineData struct {
 	asserts []string // "key: proved|UNPROVED"
 	rely    []string // rendered transitions, per thread
 	scopes  []string // scope names in order
-	lines   map[string][]outlineLine
+	lines   map[string][]renderedLine
 }
 
 func (e *engine) noteOutline(sc *scope, path string, s cprog.Stmt, S stateSet) {
-	line := outlineLine{path: path, stmt: renderStmt(s), pre: renderSet(S, sc, e.pi)}
 	// Loop bodies are revisited during the inner fixpoint; keep only the
 	// last (stable) precondition per statement, in first-visit order.
 	lines := e.outlines[sc.name]
-	for i := range lines {
-		if lines[i].path == path {
-			lines[i] = line
-			return
+	i := 0
+	for i < len(lines) && lines[i].path != path {
+		i++
+	}
+	if i == len(lines) {
+		lines = append(lines, outlineLine{path: path, stmt: s})
+		e.outlines[sc.name] = lines
+	}
+	l := &lines[i]
+	l.n = len(S)
+	l.hull = l.hull[:0]
+	if len(S) > 0 {
+		for v := 0; v < sc.nVars; v++ {
+			l.hull = append(l.hull, hullOf(S, v))
 		}
 	}
-	e.outlines[sc.name] = append(lines, line)
 }
 
-// renderSet renders the per-variable hull of a state set plus its disjunct
-// count; only non-top variables are shown.
-func renderSet(S stateSet, sc *scope, pi *progInfo) string {
-	if len(S) == 0 {
+// renderPre renders a noted precondition: the per-variable hull plus the
+// disjunct count; only non-top variables are shown.
+func renderPre(l outlineLine, sc *scope, pi *progInfo) string {
+	if l.n == 0 {
 		return "unreachable"
 	}
 	var parts []string
-	for v := 0; v < len(sc.names); v++ {
-		h := hullOf(S, v)
+	for v, h := range l.hull {
 		if h.IsTop(pi.width) {
 			continue
 		}
@@ -60,7 +77,7 @@ func renderSet(S stateSet, sc *scope, pi *progInfo) string {
 	if len(parts) == 0 {
 		parts = append(parts, "top")
 	}
-	return fmt.Sprintf("{%s} ×%d", strings.Join(parts, " "), len(S))
+	return fmt.Sprintf("{%s} ×%d", strings.Join(parts, " "), l.n)
 }
 
 func (e *engine) buildOutline(trans [][]*transition, res *Result) *outlineData {
@@ -70,7 +87,7 @@ func (e *engine) buildOutline(trans [][]*transition, res *Result) *outlineData {
 		width:  e.pi.width,
 		rounds: res.StabilizeIters,
 		proved: res.Proved,
-		lines:  map[string][]outlineLine{},
+		lines:  map[string][]renderedLine{},
 	}
 	unproved := map[string]bool{}
 	for _, k := range res.Unproved {
@@ -89,8 +106,16 @@ func (e *engine) buildOutline(trans [][]*transition, res *Result) *outlineData {
 		}
 	}
 	od.scopes = append([]string(nil), e.scOrder...)
-	for k, v := range e.outlines { //mapiter:ok copied into map keyed identically
-		od.lines[k] = v
+	for _, sc := range append(append([]*scope{}, e.scopes...), e.postScope) {
+		lines, ok := e.outlines[sc.name]
+		if !ok {
+			continue
+		}
+		out := make([]renderedLine, len(lines))
+		for i, l := range lines {
+			out[i] = renderedLine{path: l.path, stmt: renderStmt(l.stmt), pre: renderPre(l, sc, e.pi)}
+		}
+		od.lines[sc.name] = out
 	}
 	return od
 }

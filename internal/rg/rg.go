@@ -122,6 +122,21 @@ type engine struct {
 
 	outlines map[string][]outlineLine // scope name -> final-round outline
 	scOrder  []string
+
+	// idx and scratch back the state-set operations of stabilize and
+	// meetProduct; a proof attempt is single-threaded, so one of each is
+	// reused throughout.
+	idx     envIndex
+	scratch *env
+}
+
+// scratchLike returns the engine's scratch env, reshaped to the shape of
+// shape.
+func (e *engine) scratchLike(shape *env) *env {
+	if e.scratch == nil || len(e.scratch.vals) != len(shape.vals) {
+		e.scratch = newEnv(len(shape.vals), len(shape.own))
+	}
+	return e.scratch
 }
 
 func (e *engine) spend() bool {
@@ -315,12 +330,8 @@ func relyFor(trans [][]*transition, self int) []*transition {
 func projectShared(S stateSet, pi *progInfo) stateSet {
 	out := make(stateSet, 0, len(S))
 	for _, e := range S {
-		c := &env{
-			vals:   append([]iv(nil), e.vals[:pi.nShared]...),
-			own:    make([]iv, pi.nShared),
-			ownSet: make([]bool, pi.nShared),
-			fenced: make([]bool, pi.nShared),
-		}
+		c := newEnv(pi.nShared, pi.nShared)
+		copy(c.vals, e.vals)
 		out = append(out, c)
 	}
 	return normalize(out, len(out))
@@ -341,7 +352,7 @@ func (e *engine) checkPost(exits []stateSet, trans [][]*transition) {
 				S = closed
 				continue
 			}
-			S = meetProduct(S, closed, e.cap)
+			S = e.meetProduct(S, closed)
 		}
 		if e.rel != nil {
 			S = e.meetExits(S)
@@ -355,38 +366,40 @@ func (e *engine) checkPost(exits []stateSet, trans [][]*transition) {
 	w.walkStmts(e.postScope.body, S, "post")
 }
 
-// meetProduct intersects two shared-state views pairwise.
-func meetProduct(a, b stateSet, cap int) stateSet {
+// meetProduct intersects two shared-state views pairwise. Each meet is
+// built in the scratch env and cloned only when it is non-empty and new;
+// normalize sorts, so the insertion order does not matter.
+func (e *engine) meetProduct(a, b stateSet) stateSet {
+	if len(a) == 0 || len(b) == 0 {
+		return nil
+	}
+	s := e.scratchLike(a[0])
 	var out stateSet
+	e.idx.reset(nil)
 	for _, x := range a {
 		for _, y := range b {
-			c := x.clone()
+			s.copyFrom(x)
 			empty := false
-			for v := range c.vals {
-				m := dataflow.Meet(c.vals[v], y.vals[v])
+			for v := range s.vals {
+				m := dataflow.Meet(s.vals[v], y.vals[v])
 				if m.IsEmpty() {
 					empty = true
 					break
 				}
-				c.vals[v] = m
+				s.vals[v] = m
 			}
 			if !empty {
-				out = append(out, c)
+				out, _ = e.idx.addNew(out, s)
 			}
 		}
 	}
-	return normalize(out, cap)
+	return normalize(out, e.cap)
 }
 
 func extendToScope(S stateSet, pi *progInfo, sc *scope) stateSet {
 	out := make(stateSet, 0, len(S))
 	for _, e := range S {
-		c := &env{
-			vals:   make([]iv, sc.nVars),
-			own:    make([]iv, pi.nShared),
-			ownSet: make([]bool, pi.nShared),
-			fenced: make([]bool, pi.nShared),
-		}
+		c := newEnv(sc.nVars, pi.nShared)
 		copy(c.vals, e.vals[:pi.nShared])
 		for i := pi.nShared; i < sc.nVars; i++ {
 			c.vals[i] = dataflow.FromConst(0, pi.width)
@@ -630,7 +643,7 @@ func (e *engine) collectAccessLocks(stmts []cprog.Stmt, held []string, cand []ma
 
 func (e *engine) scanSpans(stmts []cprog.Stmt, path string, cand []map[string]bool, lockVars, dirty map[string]bool) {
 	for i, s := range stmts {
-		p := fmt.Sprintf("%s/%d", path, i)
+		p := stmtPath(path, i)
 		switch st := s.(type) {
 		case cprog.Lock:
 			end := -1

@@ -1,6 +1,7 @@
 package rg
 
 import (
+	"math/bits"
 	"sort"
 
 	"zpre/internal/cprog"
@@ -93,7 +94,9 @@ func addLocal(sc *scope, name string) {
 // plus bookkeeping about the walking thread's own writes that the per-model
 // rely guards need (own = value of the last own write to each shared
 // variable, valid while ownSet; fenced = a full fence separates that write
-// from the current point).
+// from the current point). vals and own share one backing array, ownSet and
+// fenced another; each is a capacity-capped subslice, so an env costs two
+// slice allocations and no field can grow into its neighbour.
 type env struct {
 	vals   []iv
 	own    []iv
@@ -101,13 +104,21 @@ type env struct {
 	fenced []bool
 }
 
-func newInitEnv(pi *progInfo, sc *scope) *env {
-	e := &env{
-		vals:   make([]iv, sc.nVars),
-		own:    make([]iv, pi.nShared),
-		ownSet: make([]bool, pi.nShared),
-		fenced: make([]bool, pi.nShared),
+// newEnv allocates a zeroed env over nVars scope variables, the first
+// nShared of them shared.
+func newEnv(nVars, nShared int) *env {
+	ivs := make([]iv, nVars+nShared)
+	flags := make([]bool, 2*nShared)
+	return &env{
+		vals:   ivs[:nVars:nVars],
+		own:    ivs[nVars:],
+		ownSet: flags[:nShared:nShared],
+		fenced: flags[nShared:],
 	}
+}
+
+func newInitEnv(pi *progInfo, sc *scope) *env {
+	e := newEnv(sc.nVars, pi.nShared)
 	for i := 0; i < pi.nShared; i++ {
 		e.vals[i] = dataflow.FromConst(pi.initVals[i], pi.width)
 	}
@@ -118,13 +129,17 @@ func newInitEnv(pi *progInfo, sc *scope) *env {
 }
 
 func (e *env) clone() *env {
-	c := &env{
-		vals:   append([]iv(nil), e.vals...),
-		own:    append([]iv(nil), e.own...),
-		ownSet: append([]bool(nil), e.ownSet...),
-		fenced: append([]bool(nil), e.fenced...),
-	}
+	c := newEnv(len(e.vals), len(e.own))
+	c.copyFrom(e)
 	return c
+}
+
+// copyFrom overwrites e with src, which must have the same shape.
+func (e *env) copyFrom(src *env) {
+	copy(e.vals, src.vals)
+	copy(e.own, src.own)
+	copy(e.ownSet, src.ownSet)
+	copy(e.fenced, src.fenced)
 }
 
 // setVal assigns a refined value to a variable, keeping the own-write image
@@ -207,6 +222,110 @@ func envCmp(a, b *env) int {
 // cross-variable correlations (flag==1 implies data==1) that a single
 // interval hull loses; overflowing the cap collapses to the hull.
 type stateSet []*env
+
+// envHash hashes exactly the fields envCmp compares: every value, the
+// ownSet and fenced flags, and own[i] only while ownSet[i] holds. So
+// envCmp(a, b) == 0 implies envHash(a) == envHash(b).
+func envHash(e *env) uint64 {
+	const k = 0x9e3779b97f4a7c15
+	h := uint64(len(e.vals))
+	for _, x := range e.vals {
+		h = (h ^ uint64(x.Lo) ^ bits.RotateLeft64(uint64(x.Hi), 32)) * k
+	}
+	for i, set := range e.ownSet {
+		flags := uint64(1)
+		if set {
+			flags = 2 ^ uint64(e.own[i].Lo) ^ bits.RotateLeft64(uint64(e.own[i].Hi), 32)
+		}
+		if e.fenced[i] {
+			flags = ^flags
+		}
+		h = (h ^ flags) * k
+	}
+	// Finalize so the low bits, which pick the slot, depend on every word.
+	h ^= h >> 32
+	h *= k
+	h ^= h >> 29
+	return h
+}
+
+// envIndex is an open-addressing hash set over the positions of a growing
+// stateSet, keyed by envHash and confirmed with envCmp, so a membership test
+// costs one hash instead of a scan of the set. The caller appends to the set
+// and inserts the new position; the index never reorders the set.
+type envIndex struct {
+	slots  []int32  // set position + 1; 0 marks a free slot
+	hashes []uint64 // envHash of each set position
+}
+
+// reset makes the index cover exactly the positions of set.
+func (x *envIndex) reset(set stateSet) {
+	x.hashes = x.hashes[:0]
+	x.resize(16)
+	for _, e := range set {
+		x.insert(envHash(e))
+	}
+}
+
+// resize empties the slot table at the given power-of-two size, reusing its
+// storage when it is large enough.
+func (x *envIndex) resize(size int) {
+	if cap(x.slots) >= size {
+		x.slots = x.slots[:size]
+		clear(x.slots)
+	} else {
+		x.slots = make([]int32, size)
+	}
+}
+
+// contains reports whether set holds an env equal to e under envCmp; h is
+// envHash(e).
+func (x *envIndex) contains(set stateSet, e *env, h uint64) bool {
+	mask := uint64(len(x.slots) - 1)
+	for i := h & mask; ; i = (i + 1) & mask {
+		p := x.slots[i]
+		if p == 0 {
+			return false
+		}
+		if x.hashes[p-1] == h && envCmp(set[p-1], e) == 0 {
+			return true
+		}
+	}
+}
+
+// insert records that the next set position holds an env with hash h,
+// keeping the table at most half full.
+func (x *envIndex) insert(h uint64) {
+	x.hashes = append(x.hashes, h)
+	if 2*len(x.hashes) <= len(x.slots) {
+		x.place(h, int32(len(x.hashes)))
+		return
+	}
+	x.resize(2 * len(x.slots))
+	for p, hp := range x.hashes {
+		x.place(hp, int32(p+1))
+	}
+}
+
+func (x *envIndex) place(h uint64, pos int32) {
+	mask := uint64(len(x.slots) - 1)
+	i := h & mask
+	for x.slots[i] != 0 {
+		i = (i + 1) & mask
+	}
+	x.slots[i] = pos
+}
+
+// addNew inserts e into set unless an equal env is already there, cloning
+// it only when it is kept; set and x must index the same positions.
+func (x *envIndex) addNew(set stateSet, e *env) (stateSet, bool) {
+	h := envHash(e)
+	if x.contains(set, e, h) {
+		return set, false
+	}
+	x.insert(h)
+	return append(set, e.clone()), true
+}
 
 // hullEnv joins a non-empty set into a single environment.
 func hullEnv(set stateSet) *env {

@@ -1,8 +1,8 @@
 package rg
 
 import (
-	"fmt"
 	"sort"
+	"strconv"
 
 	"zpre/internal/cprog"
 	"zpre/internal/dataflow"
@@ -119,65 +119,65 @@ func heldConflict(a, b []string) bool {
 	return false
 }
 
-// applyTrans applies a rely transition to one environment, or nil when the
-// guard rules it out. The guard meet is sound: the closure also contains the
-// fully-evolved states in which the transition really fires.
-func applyTrans(t *transition, e *env, nShared int) *env {
+// applyInto writes the image of e under rely transition t into dst (an env
+// of e's shape) and reports whether the guard admits it. The guard meet is
+// sound: the closure also contains the fully-evolved states in which the
+// transition really fires.
+func applyInto(dst *env, t *transition, e *env, nShared int) bool {
 	for _, g := range t.guard {
 		if dataflow.Meet(e.vals[g.v], g.rng).IsEmpty() {
-			return nil
+			return false
 		}
 	}
-	c := e.clone()
+	dst.copyFrom(e)
 	for _, g := range t.guard {
-		c.setVal(g.v, dataflow.Meet(c.vals[g.v], g.rng), nShared)
+		dst.setVal(g.v, dataflow.Meet(dst.vals[g.v], g.rng), nShared)
 	}
 	for _, w := range t.writes {
-		c.vals[w.v] = w.img
-		c.ownSet[w.v] = false
+		dst.vals[w.v] = w.img
+		dst.ownSet[w.v] = false
 	}
-	return c
-}
-
-func containsEnv(set stateSet, e *env) bool {
-	for _, x := range set {
-		if envCmp(x, e) == 0 {
-			return true
-		}
-	}
-	return false
+	return true
 }
 
 // stabilize closes a state set under the applicable rely transitions
-// (reflexive-transitive interference closure). Overflowing the disjunct cap
-// degrades to a single-hull closure with widening.
+// (reflexive-transitive interference closure). Each image is built in a
+// scratch env and kept (cloned) only when the hash index has not seen it.
+// Overflowing the disjunct cap degrades to a single-hull closure with
+// widening.
 func (w *walker) stabilize(S stateSet) stateSet {
 	if len(w.rely) == 0 || len(S) == 0 || w.eng.bailed {
 		return S
 	}
+	eng := w.eng
+	nShared := eng.pi.nShared
+	scratch := eng.scratchLike(S[0])
 	out := append(stateSet{}, S...)
+	eng.idx.reset(out)
 	overflow := false
 	for i := 0; i < len(out) && !overflow; i++ {
 		for _, t := range w.rely {
 			if heldConflict(t.held, w.held) {
 				continue
 			}
-			if w.eng.spend() {
+			if eng.spend() {
 				return out
 			}
-			c := applyTrans(t, out[i], w.eng.pi.nShared)
-			if c == nil || containsEnv(out, c) {
+			if !applyInto(scratch, t, out[i], nShared) {
 				continue
 			}
-			out = append(out, c)
-			if len(out) > w.eng.cap {
+			var added bool
+			if out, added = eng.idx.addNew(out, scratch); !added {
+				continue
+			}
+			if len(out) > eng.cap {
 				overflow = true
 				break
 			}
 		}
 	}
 	if !overflow {
-		return normalize(out, w.eng.cap)
+		return normalize(out, eng.cap)
 	}
 	// Hull closure: join every applicable image into a single environment
 	// until stable, widening if the chain is long.
@@ -189,22 +189,21 @@ func (w *walker) stabilize(S stateSet) stateSet {
 			if heldConflict(t.held, w.held) {
 				continue
 			}
-			if w.eng.spend() {
+			if eng.spend() {
 				return stateSet{h}
 			}
-			c := applyTrans(t, h, w.eng.pi.nShared)
-			if c == nil {
+			if !applyInto(scratch, t, h, nShared) {
 				continue
 			}
 			for v := range h.vals {
-				j := dataflow.Join(h.vals[v], c.vals[v])
+				j := dataflow.Join(h.vals[v], scratch.vals[v])
 				if j != h.vals[v] {
 					h.vals[v] = j
 					changed = true
 				}
 			}
 			for v := range h.ownSet {
-				if h.ownSet[v] && !c.ownSet[v] {
+				if h.ownSet[v] && !scratch.ownSet[v] {
 					h.ownSet[v] = false
 					changed = true
 				}
@@ -215,10 +214,10 @@ func (w *walker) stabilize(S stateSet) stateSet {
 		}
 		if sweep >= 8 {
 			for v := range h.vals {
-				h.vals[v] = dataflow.Widen(prev.vals[v], h.vals[v], w.eng.pi.width)
+				h.vals[v] = dataflow.Widen(prev.vals[v], h.vals[v], eng.pi.width)
 			}
 		}
-		prev = h.clone()
+		prev.copyFrom(h)
 	}
 	return stateSet{h}
 }
@@ -342,12 +341,16 @@ func (w *walker) mergeTrans(ex, nw *transition) {
 	ex.composite = ex.composite || nw.composite
 }
 
+// stmtPath names statement i of the list at path, as outlines, spans and
+// assertion keys refer to it.
+func stmtPath(path string, i int) string { return path + "/" + strconv.Itoa(i) }
+
 // walkStmts runs a statement list, stabilizing against interference before
 // every statement (outside atomic bodies) and folding composited critical
 // sections into single transitions.
 func (w *walker) walkStmts(stmts []cprog.Stmt, S stateSet, path string) stateSet {
 	for i := 0; i < len(stmts); i++ {
-		p := fmt.Sprintf("%s/%d", path, i)
+		p := stmtPath(path, i)
 		if end, ok := w.eng.spans[p]; ok && w.compDep == 0 && w.record {
 			S = w.runComposite(stmts, i, end, S, path, false, p)
 			i = end
@@ -375,7 +378,7 @@ func (w *walker) runComposite(list []cprog.Stmt, from, to int, S stateSet, path 
 		heldCommit = heldAdd(w.held, lk.Mutex)
 	}
 	for i := from; i <= to; i++ {
-		S = w.execStmt(list[i], S, fmt.Sprintf("%s/%d", path, i))
+		S = w.execStmt(list[i], S, stmtPath(path, i))
 	}
 	if atomicBody {
 		w.atomDep--

@@ -136,3 +136,36 @@ func TestChronoBacktrackingRandomEquivalence(t *testing.T) {
 		}
 	}
 }
+
+// TestChronoUnitLearnt is the regression test for chronological
+// backtracking on a unit learnt clause. A unit learnt has no reason clause,
+// so it must be asserted at level 0; stepping back a single level instead
+// left it at a positive level with a null reason, and a later conflict
+// analysis that resolved through it indexed the clause arena out of range.
+// Threshold 0 makes every multi-level backjump a chronological candidate,
+// and the random instances are sized to learn many units at deep levels.
+func TestChronoUnitLearnt(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	const n = 16
+	chronoBTs := uint64(0)
+	for trial := 0; trial < 300; trial++ {
+		m := 4*n + rng.Intn(n)
+		clauses := make([][]Lit, 0, m)
+		for i := 0; i < m; i++ {
+			c := make([]Lit, 3)
+			for j := range c {
+				c[j] = MkLit(Var(rng.Intn(n)), rng.Intn(2) == 1)
+			}
+			clauses = append(clauses, c)
+		}
+		want := bruteSat(n, clauses, nil)
+		got, s := solveClauses(func(s *Solver) { s.ChronoThreshold = 0 }, n, clauses)
+		if (got == Sat) != want {
+			t.Fatalf("trial %d: %v, oracle says sat=%v", trial, got, want)
+		}
+		chronoBTs += s.Stats().ChronoBTs
+	}
+	if chronoBTs == 0 {
+		t.Fatal("no chronological backtrack: the instances never exercised the path")
+	}
+}

@@ -966,8 +966,9 @@ func (s *Solver) handleConflict(confl ClauseRef, theory bool) Status {
 	// Restricted chronological backtracking: when the backjump would undo a
 	// long stretch of the trail, step back a single level instead; the
 	// learnt clause is unit there too, so the asserting literal still
-	// propagates, and the skipped assignments survive to be reused.
-	if s.ChronoThreshold >= 0 && conflLevel-bt > s.ChronoThreshold && conflLevel-1 > bt {
+	// propagates, and the skipped assignments survive to be reused. A unit
+	// learnt has no reason clause, so it always goes back to level 0.
+	if len(learnt) > 1 && s.ChronoThreshold >= 0 && conflLevel-bt > s.ChronoThreshold && conflLevel-1 > bt {
 		bt = conflLevel - 1
 		s.stats.ChronoBTs++
 	}
