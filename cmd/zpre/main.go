@@ -424,7 +424,7 @@ func printWitness(prog *cprog.Program, model memmodel.Model, unroll, width int, 
 	if err != nil {
 		fatalf("encode: %v", err)
 	}
-	infos := core.Classify(vc.Builder.NamedVars())
+	infos := core.ClassifyBuilder(vc.Builder)
 	dec := core.NewDecider(core.ZPRE, infos, core.Config{Seed: seed})
 	if _, err := vc.Builder.Solve(smt.Options{Decider: dec}); err != nil {
 		fatalf("solve: %v", err)

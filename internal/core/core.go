@@ -3,9 +3,14 @@
 //
 // The frontend names every interference variable in a fixed scheme —
 // rf_<readThread>_<readIdx>_<writeThread>_<writeIdx> for read-from variables
-// and ws_<thread1>_<idx1>_<thread2>_<idx2> for write-serialization variables —
-// and the backend reconstructs the decision order purely from those names,
-// exactly as the paper's modified Z3 does (§4.1, §5.3).
+// and ws_<thread1>_<idx1>_<thread2>_<idx2> for write-serialization variables.
+// There are two ways to classify them. The by-name path (Classify over
+// smt.Builder.NamedVars, via ParseName) reconstructs the decision order
+// purely from those names, exactly as the paper's modified Z3 does (§4.1,
+// §5.3); it serves formulas read from SMT-LIB. The encoder's own pipeline
+// takes the typed path (ClassifyBuilder): the builder records each
+// variable's class and event coordinates in a label when it creates the
+// variable, so nothing is rendered or parsed. Both give the same result.
 //
 // The order is:
 //
@@ -28,6 +33,7 @@ import (
 	"strings"
 
 	"zpre/internal/sat"
+	"zpre/internal/smt"
 )
 
 // Class partitions the Boolean variables of the encoded program (§3.2).
@@ -144,31 +150,90 @@ func ParseName(name string) VarInfo {
 // by grouping them on the read event encoded in the name.
 func Classify(named map[string]sat.Var) []VarInfo {
 	infos := make([]VarInfo, 0, len(named))
-	writeCount := map[[2]int]int{}
 	for name, v := range named {
 		vi := ParseName(name)
 		vi.Var = v
-		if vi.Class == ClassRFExternal || vi.Class == ClassRFInternal {
-			writeCount[[2]int{vi.ReadThread, vi.ReadIdx}]++
-		}
 		infos = append(infos, vi)
 	}
-	for i := range infos {
-		vi := &infos[i]
-		if vi.Class == ClassRFExternal || vi.Class == ClassRFInternal {
-			vi.NumWrites = writeCount[[2]int{vi.ReadThread, vi.ReadIdx}]
-		}
-	}
+	countWrites(infos)
 	sort.Slice(infos, func(i, j int) bool { return infos[i].Var < infos[j].Var })
 	return infos
 }
 
-// ClassNames maps each classified variable to its class string — the form
-// the telemetry layer stamps on decision trace events.
-func ClassNames(infos []VarInfo) map[sat.Var]string {
-	out := make(map[sat.Var]string, len(infos))
+// countWrites sets #write on every RF variable: the number of RF variables
+// that share its read event.
+func countWrites(infos []VarInfo) {
+	isRF := func(c Class) bool { return c == ClassRFExternal || c == ClassRFInternal }
+	writeCount := map[[2]int]int{}
+	for _, vi := range infos {
+		if isRF(vi.Class) {
+			writeCount[[2]int{vi.ReadThread, vi.ReadIdx}]++
+		}
+	}
+	for i := range infos {
+		if vi := &infos[i]; isRF(vi.Class) {
+			vi.NumWrites = writeCount[[2]int{vi.ReadThread, vi.ReadIdx}]
+		}
+	}
+}
+
+// ClassifyBuilder classifies the builder's named variables from their typed
+// labels (smt.Label): the event coordinates come from the label, so no name
+// is rendered or parsed. Free-form names are classified by ParseName. It
+// returns what Classify(bd.NamedVars()) returns — same variables, order,
+// classes, coordinates and #write — except that Name is left empty (render
+// it with bd.VarName). The two agree whenever no name is given to two
+// variables — NamedVars keeps only the later one — which the encoder never
+// does.
+func ClassifyBuilder(bd *smt.Builder) []VarInfo {
+	labels := bd.Labels()
+	n := 0
+	for _, l := range labels {
+		if l.Kind != smt.LabelNone && l.Kind != smt.LabelOrd {
+			n++
+		}
+	}
+	infos := make([]VarInfo, 0, n)
+	for v, l := range labels {
+		vi := VarInfo{Var: sat.Var(v), Class: ClassSSA}
+		switch l.Kind {
+		case smt.LabelNone, smt.LabelOrd:
+			continue
+		case smt.LabelText:
+			vi = ParseName(bd.VarName(vi.Var))
+			vi.Var, vi.Name = sat.Var(v), ""
+		case smt.LabelRF, smt.LabelWS:
+			vi.ReadThread, vi.ReadIdx, vi.WriteThread, vi.WriteIdx = int(l.A), int(l.B), int(l.C), int(l.D)
+			switch {
+			case l.Kind == smt.LabelWS:
+				vi.Class = ClassWS
+			case l.A == l.C:
+				vi.Class = ClassRFInternal
+			default:
+				vi.Class = ClassRFExternal
+			}
+		case smt.LabelGuard:
+			vi.Class = ClassGuard
+		}
+		infos = append(infos, vi)
+	}
+	countWrites(infos)
+	return infos
+}
+
+// TraceClasses maps each classified variable, and each of the builder's
+// ordering atoms, to its class string — the form the telemetry layer stamps
+// on decision trace events. Ordering atoms are not named variables, so the
+// decision order never sees them, but a trace counts their decisions as ord
+// rather than anonymous.
+func TraceClasses(bd *smt.Builder, infos []VarInfo) map[sat.Var]string {
+	atoms := bd.OrderAtoms()
+	out := make(map[sat.Var]string, len(infos)+len(atoms))
 	for _, vi := range infos {
 		out[vi.Var] = vi.Class.String()
+	}
+	for _, a := range atoms {
+		out[a.Var] = ClassOrd.String()
 	}
 	return out
 }

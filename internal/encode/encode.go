@@ -15,6 +15,7 @@ package encode
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"time"
 
 	"zpre/internal/analysis"
@@ -392,7 +393,7 @@ func Program(p *cprog.Program, opts Options) (*VC, error) {
 	var selectors []smt.Bool
 	if opts.SelectableAsserts {
 		for i, v := range e.violations {
-			sel := e.bd.NamedBool(fmt.Sprintf("sel_%d", i))
+			sel := e.bd.NamedBool("sel_" + strconv.Itoa(i))
 			e.bd.AssertClause(e.bd.Not(sel), v)
 			selectors = append(selectors, sel)
 		}
@@ -468,7 +469,7 @@ func (e *encoder) insertAccess(tid int, acc memmodel.Access, ev *Event) int {
 func (e *encoder) addEvent(ts *threadState, name string, isWrite bool, val smt.BV) *Event {
 	idx := e.eventIndex[ts.id]
 	ev := &Event{
-		ID:      e.bd.NewEvent(fmt.Sprintf("t%d_%d", ts.id, idx)),
+		ID:      e.bd.NewThreadEvent(ts.id, idx),
 		Thread:  ts.id,
 		Index:   idx,
 		Var:     name,
@@ -496,7 +497,7 @@ func (e *encoder) addWrite(ts *threadState, name string, val smt.BV) *Event {
 }
 
 func (e *encoder) addRead(ts *threadState, name string) *Event {
-	val := e.bd.NamedBV(fmt.Sprintf("v%d_%d_%s", ts.id, e.eventIndex[ts.id], name), e.opts.Width)
+	val := e.bd.NamedBVAt("v", ts.id, e.eventIndex[ts.id], name, e.opts.Width)
 	ev := e.addEvent(ts, name, false, val)
 	if e.flow != nil {
 		iv := e.flow.Range(name)
@@ -593,7 +594,7 @@ func (e *encoder) execStmt(ts *threadState, s cprog.Stmt, shared map[string]bool
 		// Tag the branch condition so the control-flow heuristic (the
 		// paper's "Other Attempts", after Chen & He 2018) can find it.
 		e.guardCounter++
-		e.bd.NameVar(c, fmt.Sprintf("guard_%d_%d", ts.id, e.guardCounter))
+		e.bd.NameGuard(c, ts.id, e.guardCounter)
 		saved := ts.locals
 		savedGuard := ts.guard
 		savedAbs := ts.abs

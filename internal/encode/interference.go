@@ -1,7 +1,6 @@
 package encode
 
 import (
-	"fmt"
 	"sort"
 
 	"zpre/internal/analysis"
@@ -141,7 +140,7 @@ func (e *encoder) emitReadFrom(reach *reachability) {
 			some := make([]smt.Bool, 0, len(cands)+1)
 			some = append(some, e.bd.Not(r.Guard))
 			for ci, w := range cands {
-				rf := e.bd.NamedBool(fmt.Sprintf("rf_%d_%d_%d_%d", r.Thread, r.Index, w.Thread, w.Index))
+				rf := e.bd.NamedRF(r.Thread, r.Index, w.Thread, w.Index)
 				rfVars[ci] = rf
 				e.stats.RFVars++
 				nrf := e.bd.Not(rf)
@@ -317,7 +316,7 @@ func (e *encoder) emitWriteSerialization(reach *reachability) {
 					e.stats.WSPruned++
 					continue
 				}
-				ws := e.bd.NamedBool(fmt.Sprintf("ws_%d_%d_%d_%d", wi.Thread, wi.Index, wj.Thread, wj.Index))
+				ws := e.bd.NamedWS(wi.Thread, wi.Index, wj.Thread, wj.Index)
 				e.stats.WSVars++
 				atom := e.bd.Before(wi.ID, wj.ID)
 				e.bd.AssertClause(e.bd.Not(ws), atom)

@@ -11,6 +11,7 @@ import (
 	"sort"
 	"strings"
 
+	"zpre/internal/core"
 	"zpre/internal/encode"
 	"zpre/internal/sat"
 	"zpre/internal/smt"
@@ -114,36 +115,20 @@ func WithModel(vc *encode.VC, g *Graph) *Graph {
 		}
 		out.Edges = append(out.Edges, Edge{From: from, To: to, Kind: FR})
 	}
-	for name, v := range vc.Builder.NamedVars() {
-		var kind EdgeKind
-		switch {
-		case strings.HasPrefix(name, "rf_"):
-			kind = RF
-		case strings.HasPrefix(name, "ws_"):
-			kind = WS
-		default:
+	for _, vi := range core.ClassifyBuilder(vc.Builder) {
+		if !vi.Class.Interference() || vc.Builder.Solver().Value(vi.Var) != sat.LTrue {
 			continue
 		}
-		if vc.Builder.Solver().Value(v) != sat.LTrue {
+		first, ok1 := byThreadIdx[[2]int{vi.ReadThread, vi.ReadIdx}]
+		second, ok2 := byThreadIdx[[2]int{vi.WriteThread, vi.WriteIdx}]
+		if !ok1 || !ok2 {
 			continue
 		}
-		var a, b, c, d int
-		if _, err := fmt.Sscanf(name[3:], "%d_%d_%d_%d", &a, &b, &c, &d); err != nil {
-			continue
-		}
-		if kind == RF {
-			// rf_<rt>_<ri>_<wt>_<wi>: edge write → read.
-			r, okR := byThreadIdx[[2]int{a, b}]
-			w, okW := byThreadIdx[[2]int{c, d}]
-			if okR && okW {
-				out.Edges = append(out.Edges, Edge{From: int(w.ID), To: int(r.ID), Kind: RF})
-			}
+		if vi.Class == core.ClassWS {
+			out.Edges = append(out.Edges, Edge{From: int(first.ID), To: int(second.ID), Kind: WS})
 		} else {
-			w1, ok1 := byThreadIdx[[2]int{a, b}]
-			w2, ok2 := byThreadIdx[[2]int{c, d}]
-			if ok1 && ok2 {
-				out.Edges = append(out.Edges, Edge{From: int(w1.ID), To: int(w2.ID), Kind: WS})
-			}
+			// rf: edge write → read.
+			out.Edges = append(out.Edges, Edge{From: int(second.ID), To: int(first.ID), Kind: RF})
 		}
 	}
 	return out

@@ -776,7 +776,12 @@ func RunOne(task Task, strat core.Strategy, cfg Config) (out RunResult) {
 		tr.AddChild(encSpan, "encode.dataflow", vc.Stats.DataflowTime)
 	}
 
-	infos := core.Classify(vc.Builder.NamedVars())
+	// The decision order and the trace's class map are the classification's
+	// only readers: a baseline run without a trace needs neither.
+	var infos []core.VarInfo
+	if strat != core.Baseline || cfg.TraceDir != "" {
+		infos = core.ClassifyBuilder(vc.Builder)
+	}
 	deciderCfg := core.Config{Seed: cfg.Seed}
 	if st, ordered := vc.Static, vc.MHBOrdered; st != nil || ordered != nil {
 		deciderCfg.Score = func(vi core.VarInfo) int {
@@ -807,7 +812,7 @@ func RunOne(task Task, strat core.Strategy, cfg Config) (out RunResult) {
 			return out
 		}
 		tracer = telemetry.NewSolverTracer(sink, telemetry.TracerOptions{
-			Classes:  core.ClassNames(infos),
+			Classes:  core.TraceClasses(vc.Builder, infos),
 			Task:     task.ID(),
 			Strategy: strat.String(),
 			Model:    task.Model.String(),

@@ -114,3 +114,45 @@ func TestTraceSampledRuns(t *testing.T) {
 		}
 	}
 }
+
+// TestTraceClassifiesOrderAtoms checks that a decision trace counts
+// decisions on ordering atoms as ord: the atoms are not named variables,
+// so the decision order never includes them, but the trace's class map
+// covers them. Baseline Peterson at bound 1 decides ten of them.
+func TestTraceClassifiesOrderAtoms(t *testing.T) {
+	dir := t.TempDir()
+	cfg := Config{
+		Models:        []memmodel.Model{memmodel.SC},
+		Strategies:    []core.Strategy{core.Baseline},
+		Bounds:        []int{1},
+		Timeout:       5 * time.Second,
+		Width:         8,
+		Subcategories: []string{"lit"},
+		TraceDir:      dir,
+	}
+	for _, task := range Tasks(cfg) {
+		if task.ID() != "lit/peterson@sc/k1" {
+			continue
+		}
+		r := RunOne(task, core.Baseline, cfg)
+		if r.Err != nil {
+			t.Fatal(r.Err)
+		}
+		events, err := telemetry.ReadTraceFile(filepath.Join(dir, TraceFileName(task, core.Baseline)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := telemetry.AnalyzeTrace(events, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := rep.CrossCheck(); err != nil {
+			t.Fatal(err)
+		}
+		if n := rep.Summary.Counts.ByClass[core.ClassOrd.String()]; n == 0 {
+			t.Fatalf("no ord decisions in the trace: %v", rep.Summary.Counts.ByClass)
+		}
+		return
+	}
+	t.Fatal("lit/peterson@sc/k1 missing from the task list")
+}

@@ -173,7 +173,7 @@ func (s *Sweep) SetInstruments(tracer sat.Tracer, wrap func(sat.Theory) sat.Theo
 }
 
 // Next extends the encoding to the next bound and solves it. The decision
-// order is rebuilt per bound from the current variable names, so newly
+// order is rebuilt per bound from the current variable labels, so newly
 // arrived interference variables take their place in the strategy's order.
 func (s *Sweep) Next() (BoundResult, error) {
 	encStart := time.Now()
@@ -184,14 +184,12 @@ func (s *Sweep) Next() (BoundResult, error) {
 	out := BoundResult{Bound: ba.Bound, Encode: time.Since(encStart)}
 	vc := s.inc.VC()
 
-	infos := core.Classify(vc.Builder.NamedVars())
-	dec := core.NewDecider(s.opts.Strategy, infos, core.Config{
-		Seed:     s.opts.Seed,
-		Polarity: s.opts.Polarity,
-	})
 	var decider sat.Decider
-	if dec != nil {
-		decider = dec
+	if s.opts.Strategy != core.Baseline {
+		decider = core.NewDecider(s.opts.Strategy, core.ClassifyBuilder(vc.Builder), core.Config{
+			Seed:     s.opts.Seed,
+			Polarity: s.opts.Polarity,
+		})
 	}
 	o := smt.Options{
 		Decider:               decider,

@@ -50,7 +50,8 @@ type TheoryImplication struct {
 // empty learnt clause is an independently checkable proof of
 // unsatisfiability (see internal/proof).
 type ProofRecorder interface {
-	// Input records a problem clause as given to AddClause.
+	// Input records a problem clause as given to AddClause. The slice is
+	// only valid during the call.
 	Input(lits []Lit)
 	// Learnt records a clause derived by conflict analysis (nil/empty =
 	// the empty clause: unsatisfiability established).

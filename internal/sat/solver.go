@@ -127,6 +127,7 @@ type Solver struct {
 	lbdSeen    []uint32    // level -> generation stamp for LBD computation
 	lbdGen     uint32      // current LBD generation
 	localRefs  []ClauseRef // reduceDB scratch
+	addBuf     []Lit       // AddClause scratch
 
 	maxLearnts   float64
 	learntAdjust int
@@ -301,7 +302,10 @@ func (s *Solver) BumpActivity(v Var) { s.varBump(v) }
 // unsatisfiable.
 func (s *Solver) AddClause(lits ...Lit) bool {
 	if s.Proof != nil {
-		s.Proof.Input(lits)
+		// The recorder gets a scratch copy, so lits never escapes and a
+		// caller's variadic literal list can stay on its stack.
+		s.addBuf = append(s.addBuf[:0], lits...)
+		s.Proof.Input(s.addBuf)
 	}
 	if !s.ok {
 		return false
@@ -310,8 +314,9 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 		panic("sat: AddClause called during search")
 	}
 	// Sort-free simplification: drop duplicates, false literals; detect
-	// tautologies and satisfied clauses.
-	out := make([]Lit, 0, len(lits))
+	// tautologies and satisfied clauses. The simplified clause is built in
+	// scratch: the arena and the trail copy what they keep.
+	out := s.addBuf[:0]
 	for _, l := range lits {
 		if s.elim[l.Var()] {
 			panic("sat: AddClause over a BVE-eliminated variable")
@@ -336,6 +341,7 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 			out = append(out, l)
 		}
 	}
+	s.addBuf = out[:0]
 	switch len(out) {
 	case 0:
 		s.ok = false

@@ -32,18 +32,6 @@ func (bd *Builder) NewBV(width int) BV {
 	return BV{bits}
 }
 
-// NamedBV introduces a fresh bit-vector variable whose per-bit SAT variables
-// carry the name (name.0, name.1, ...) for model extraction and debugging.
-func (bd *Builder) NamedBV(name string, width int) BV {
-	bits := make([]Bool, width)
-	for i := range bits {
-		bits[i] = bd.NamedBool(fmt.Sprintf("%s.%d", name, i))
-	}
-	v := BV{bits}
-	bd.bvByName[name] = v
-	return v
-}
-
 func (bd *Builder) checkSameWidth(a, b BV) {
 	if a.Width() != b.Width() {
 		panic(fmt.Sprintf("smt: width mismatch %d vs %d", a.Width(), b.Width()))

@@ -3,7 +3,6 @@ package smt
 import (
 	"context"
 	"errors"
-	"fmt"
 	"time"
 
 	"zpre/internal/order"
@@ -22,12 +21,23 @@ type Builder struct {
 	solver  *sat.Solver
 	trueLit sat.Lit
 
-	gates    map[gateKey]sat.Lit
-	names    map[sat.Var]string
-	byName   map[string]sat.Var
-	bvByName map[string]BV
+	gates map[gateKey]sat.Lit
 
-	eventNames []string
+	// Names: a typed label per variable (see label.go), the free-form
+	// names they index, the named bit-vectors and the events. The by-name
+	// tables are rendered from them lazily: byName and bvByName cover the
+	// first indexedNames entries of nameLog and the first indexedBVs
+	// bit-vectors.
+	labels       []Label
+	texts        []string
+	bvs          []namedBV
+	events       []name
+	nameLog      []sat.Var
+	byName       map[string]sat.Var
+	bvByName     map[string]BV
+	indexedNames int
+	indexedBVs   int
+
 	fixedEdges [][2]int32
 	atomVars   map[[2]int32]sat.Var // canonical (a,b) with a<b → atom var "a before b"
 	atomList   []registeredAtom
@@ -44,7 +54,8 @@ type Builder struct {
 	fixedUnits   map[sat.Var]bool
 	rootUnsat    bool
 
-	asserted int // number of top-level assertions (for reporting)
+	asserted  int       // number of top-level assertions (for reporting)
+	clauseBuf []sat.Lit // AssertClause scratch
 }
 
 type registeredAtom struct {
@@ -77,9 +88,6 @@ func newBuilder(withProof bool) (*Builder, *proof.Trace) {
 		solver:   s,
 		trueLit:  sat.PosLit(t),
 		gates:    map[gateKey]sat.Lit{},
-		names:    map[sat.Var]string{},
-		byName:   map[string]sat.Var{},
-		bvByName: map[string]BV{},
 		atomVars: map[[2]int32]sat.Var{},
 	}, tr
 }
@@ -96,7 +104,7 @@ func (bd *Builder) CheckProof(tr *proof.Trace) error {
 	fixed := make([][2]int32, len(bd.fixedEdges))
 	copy(fixed, bd.fixedEdges)
 	return proof.Check(tr, bd.solver.NVars(),
-		proof.OrderValidator(len(bd.eventNames), atoms, fixed))
+		proof.OrderValidator(len(bd.events), atoms, fixed))
 }
 
 // Solver exposes the underlying SAT solver (for tests and advanced use).
@@ -110,29 +118,6 @@ func (bd *Builder) NumClauses() int { return bd.solver.NClauses() }
 
 // NumAssertions returns the number of top-level Assert calls.
 func (bd *Builder) NumAssertions() int { return bd.asserted }
-
-// VarName returns the name of a named variable ("" if unnamed).
-func (bd *Builder) VarName(v sat.Var) string { return bd.names[v] }
-
-// NamedVars returns the name → SAT variable table. The decision strategies
-// in internal/core classify variables from exactly this table, mirroring the
-// paper's "recognise interference variables by their names".
-func (bd *Builder) NamedVars() map[string]sat.Var {
-	out := make(map[string]sat.Var, len(bd.byName))
-	for k, v := range bd.byName {
-		out[k] = v
-	}
-	return out
-}
-
-// NewEvent declares a memory-access event (an EOG node) and returns its id.
-func (bd *Builder) NewEvent(name string) EventID {
-	bd.eventNames = append(bd.eventNames, name)
-	return EventID(len(bd.eventNames) - 1)
-}
-
-// NumEvents returns the number of declared events.
-func (bd *Builder) NumEvents() int { return len(bd.eventNames) }
 
 // FixedEdges returns the unconditional order edges added with OrderFixed.
 func (bd *Builder) FixedEdges() [][2]EventID {
@@ -159,9 +144,6 @@ type OrderAtom struct {
 	A, B EventID
 }
 
-// EventName returns the name of an event.
-func (bd *Builder) EventName(e EventID) string { return bd.eventNames[e] }
-
 // OrderFixed records the unconditional order a before b (program order,
 // create/join edges).
 func (bd *Builder) OrderFixed(a, b EventID) {
@@ -182,7 +164,7 @@ func (bd *Builder) Before(a, b EventID) Bool {
 	v, ok := bd.atomVars[[2]int32{x, y}]
 	if !ok {
 		v = bd.solver.NewVar()
-		bd.names[v] = fmt.Sprintf("ord_%s_%s", bd.eventNames[x], bd.eventNames[y])
+		bd.label(v, Label{Kind: LabelOrd, A: x, B: y})
 		bd.atomVars[[2]int32{x, y}] = v
 		bd.atomList = append(bd.atomList, registeredAtom{v: v, a: x, b: y})
 	}
@@ -199,11 +181,12 @@ func (bd *Builder) Assert(b Bool) {
 // avoiding intermediate OR gates.
 func (bd *Builder) AssertClause(terms ...Bool) {
 	bd.asserted++
-	lits := make([]sat.Lit, len(terms))
-	for i, t := range terms {
-		lits[i] = t.lit
+	lits := bd.clauseBuf[:0]
+	for _, t := range terms {
+		lits = append(lits, t.lit)
 	}
 	bd.solver.AddClause(lits...)
+	bd.clauseBuf = lits[:0]
 }
 
 // AssertEq asserts a = b over bit-vectors clause-by-clause (cheaper than
@@ -285,12 +268,12 @@ func (bd *Builder) syncTheory() error {
 		bd.fixedUnits = make(map[sat.Var]bool)
 	}
 	th := bd.theory
-	if bd.pushedEvents == len(bd.eventNames) &&
+	if bd.pushedEvents == len(bd.events) &&
 		bd.pushedFixed == len(bd.fixedEdges) &&
 		bd.pushedAtoms == len(bd.atomList) {
 		return nil
 	}
-	th.GrowTo(len(bd.eventNames))
+	th.GrowTo(len(bd.events))
 	grewFixed := bd.pushedFixed != len(bd.fixedEdges)
 	for _, e := range bd.fixedEdges[bd.pushedFixed:] {
 		th.AddFixedEdge(e[0], e[1])
@@ -317,7 +300,7 @@ func (bd *Builder) syncTheory() error {
 	if grewFixed && !th.Acyclic() {
 		bd.rootUnsat = true
 	}
-	bd.pushedEvents = len(bd.eventNames)
+	bd.pushedEvents = len(bd.events)
 	bd.pushedFixed = len(bd.fixedEdges)
 	bd.pushedAtoms = len(bd.atomList)
 	return nil
@@ -407,19 +390,4 @@ func (bd *Builder) BVValue(v BV) uint64 {
 		}
 	}
 	return out
-}
-
-// BVByName returns a named bit-vector variable, if declared.
-func (bd *Builder) BVByName(name string) (BV, bool) {
-	v, ok := bd.bvByName[name]
-	return v, ok
-}
-
-// BoolByName returns a named Boolean variable, if declared.
-func (bd *Builder) BoolByName(name string) (Bool, bool) {
-	v, ok := bd.byName[name]
-	if !ok {
-		return Bool{}, false
-	}
-	return Bool{sat.PosLit(v)}, true
 }

@@ -5,8 +5,9 @@
 //
 // The Builder is the frontend/backend seam of the paper: the frontend
 // (internal/encode) constructs the verification condition through it, naming
-// the interference variables in the rf_/ws_ scheme; the backend (Solve)
-// reconstructs the decision order from those names via internal/core.
+// the interference variables in the rf_/ws_ scheme; internal/core builds the
+// decision order from them. Names are kept as typed labels and rendered
+// only on request (see label.go).
 package smt
 
 import (
@@ -59,30 +60,6 @@ func (bd *Builder) newGate() sat.Lit {
 	v := bd.solver.NewVar()
 	bd.solver.SetPhase(v, false)
 	return sat.PosLit(v)
-}
-
-// NameVar attaches a name to an existing term's variable (used by the
-// encoder to tag branch-condition gates for the control-flow heuristic).
-// Constants and already-named variables are left untouched.
-func (bd *Builder) NameVar(b Bool, name string) {
-	v := b.lit.Var()
-	if v == bd.trueLit.Var() {
-		return
-	}
-	if _, taken := bd.names[v]; taken {
-		return
-	}
-	bd.names[v] = name
-	bd.byName[name] = v
-}
-
-// NamedBool introduces a fresh Boolean variable with a name visible to the
-// backend (decision strategies recognise interference variables by name).
-func (bd *Builder) NamedBool(name string) Bool {
-	b := bd.NewBool()
-	bd.names[b.lit.Var()] = name
-	bd.byName[name] = b.lit.Var()
-	return b
 }
 
 // And returns the conjunction of two terms, building a Tseitin gate unless a

@@ -331,6 +331,59 @@ func TestNamedVars(t *testing.T) {
 	}
 }
 
+// TestLazyNames checks that typed labels render to the names the rf_/ws_
+// scheme spells out, and that the by-name tables, built on first use,
+// follow names given afterwards with eager insertion's semantics: a name
+// given twice maps to its latest variable, NameVar never renames, and
+// ordering atoms have a VarName but no NamedVars entry.
+func TestLazyNames(t *testing.T) {
+	bd := NewBuilder()
+	rf := bd.NamedRF(1, 2, 0, 3)
+	ws := bd.NamedWS(1, 0, 2, 1)
+	val := bd.NamedBVAt("v", 1, 2, "x", 2)
+	e1, e2 := bd.NewThreadEvent(1, 2), bd.NewEvent("join")
+	ord := bd.Before(e2, e1)
+	for v, want := range map[sat.Var]string{
+		rf.Lit().Var():         "rf_1_2_0_3",
+		ws.Lit().Var():         "ws_1_0_2_1",
+		val.Bit(1).Lit().Var(): "v1_2_x.1",
+		ord.Lit().Var():        "ord_t1_2_join",
+	} {
+		if got := bd.VarName(v); got != want {
+			t.Errorf("VarName(%d) = %q, want %q", v, got, want)
+		}
+	}
+	if got := bd.EventName(e1); got != "t1_2" {
+		t.Errorf("EventName = %q, want t1_2", got)
+	}
+	if _, ok := bd.NamedVars()["ord_t1_2_join"]; ok {
+		t.Error("ordering atom in NamedVars")
+	}
+
+	// Names given after the tables were first built.
+	g := bd.And(rf, ws)
+	bd.NameGuard(g, 1, 7)
+	bd.NameVar(g, "renamed")
+	dup := bd.NamedBool("rf_1_2_0_3")
+	exit := bd.NamedBVAt("exit_", 1, 0, "x", 2)
+	named := bd.NamedVars()
+	if named["guard_1_7"] != g.Lit().Var() || bd.VarName(g.Lit().Var()) != "guard_1_7" {
+		t.Errorf("guard: NamedVars %d, VarName %q", named["guard_1_7"], bd.VarName(g.Lit().Var()))
+	}
+	if _, ok := named["renamed"]; ok {
+		t.Error("NameVar renamed a named variable")
+	}
+	if named["rf_1_2_0_3"] != dup.Lit().Var() {
+		t.Error("a name given twice does not map to its latest variable")
+	}
+	if got, ok := bd.BVByName("exit_1_0_x"); !ok || got.Bit(0) != exit.Bit(0) {
+		t.Error("BVByName misses a bit-vector named after the first lookup")
+	}
+	if b, ok := bd.BoolByName("v1_2_x.0"); !ok || b != val.Bit(0) {
+		t.Error("BoolByName misses a bit-vector bit")
+	}
+}
+
 func TestAssertEqPropagation(t *testing.T) {
 	bd := NewBuilder()
 	x := bd.NewBV(8)

@@ -335,7 +335,7 @@ func SolveVC(vc *encode.VC, opts Options) (Report, error) {
 // solveVC is SolveVC with the caller's encode duration, so a trace opened
 // here records the full parse→encode→static→solve span set.
 func solveVC(vc *encode.VC, opts Options, encodeTime time.Duration) (Report, error) {
-	infos := core.Classify(vc.Builder.NamedVars())
+	infos := core.ClassifyBuilder(vc.Builder)
 	dec := core.NewDecider(opts.Strategy, infos, deciderConfig(vc, opts))
 	var decider sat.Decider
 	if dec != nil {
@@ -349,7 +349,7 @@ func solveVC(vc *encode.VC, opts Options, encodeTime time.Duration) (Report, err
 	var satTracer sat.Tracer
 	if opts.TraceSink != nil {
 		tracer = telemetry.NewSolverTracer(opts.TraceSink, telemetry.TracerOptions{
-			Classes:  core.ClassNames(infos),
+			Classes:  core.TraceClasses(vc.Builder, infos),
 			Task:     opts.TraceTask,
 			Strategy: opts.Strategy.String(),
 			Model:    opts.Model.String(),
@@ -510,7 +510,7 @@ func VerifyEach(p *cprog.Program, opts Options) ([]AssertReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	infos := core.Classify(vc.Builder.NamedVars())
+	infos := core.ClassifyBuilder(vc.Builder)
 	dec := core.NewDecider(opts.Strategy, infos, deciderConfig(vc, opts))
 	var decider sat.Decider
 	if dec != nil {
