@@ -1,4 +1,4 @@
-package zpre
+package zpre_test
 
 // Benchmark harness: one testing.B benchmark per table and figure of the
 // paper's evaluation (§5), plus ablation benches for the design choices
@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"zpre"
 	"zpre/internal/core"
 	"zpre/internal/cprog"
 	"zpre/internal/encode"
@@ -321,11 +322,11 @@ func BenchmarkMicro_VerifyPeterson(b *testing.B) {
 		}
 	}
 	for i := 0; i < b.N; i++ {
-		rep, err := Verify(prog, Options{Model: TSO, Strategy: ZPRE, Seed: 1})
+		rep, err := zpre.Verify(prog, zpre.Options{Model: zpre.TSO, Strategy: zpre.ZPRE, Seed: 1})
 		if err != nil {
 			b.Fatal(err)
 		}
-		if rep.Verdict != Unsafe {
+		if rep.Verdict != zpre.Unsafe {
 			b.Fatal("peterson must be unsafe under TSO")
 		}
 	}

@@ -346,7 +346,7 @@ func main() {
 				nSkipped++
 			}
 		}
-		skipWhy := "proof too large"
+		skipWhy := "rely-guarantee proofs"
 		if *increm {
 			skipWhy = "unsat: proofs unavailable incrementally"
 		}

@@ -5,7 +5,7 @@
 // Usage:
 //
 //	satsolve [-timeout 60s] [-model] [-stats]
-//	         [-legacy-reduce] [-no-inprocess] [-bve] [-chrono N] file.cnf
+//	         [-no-inprocess] [-bve] [-chrono N] file.cnf
 //
 // Output follows SAT-competition conventions: "s SATISFIABLE" /
 // "s UNSATISFIABLE" / "s UNKNOWN", optionally a "v ..." model line.
@@ -27,7 +27,6 @@ func main() {
 		timeout   = flag.Duration("timeout", 60*time.Second, "solve timeout")
 		showModel = flag.Bool("model", false, "print a satisfying assignment")
 		stats     = flag.Bool("stats", false, "print search statistics")
-		legacy    = flag.Bool("legacy-reduce", false, "use the pre-arena activity-only clause-database reduction")
 		noInproc  = flag.Bool("no-inprocess", false, "disable inprocessing (subsumption/strengthening between restarts)")
 		bve       = flag.Bool("bve", false, "enable bounded variable elimination during inprocessing")
 		chrono    = flag.Int("chrono", 100, "chronological-backtracking threshold in levels (negative = disabled)")
@@ -48,9 +47,6 @@ func main() {
 	}
 
 	s := sat.New()
-	if *legacy {
-		s.Reduce = sat.ReduceLegacyActivity
-	}
 	if *noInproc {
 		s.Inprocessing = sat.InprocessOff
 	}

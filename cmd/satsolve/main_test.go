@@ -16,17 +16,16 @@ import (
 const corpusDir = "../../internal/dimacs/testdata"
 
 // solverConfigs are the flag-gated solver variants the differential test
-// compares: the default tiered pipeline against the pre-arena legacy path
-// and the optional modes, on every corpus instance.
+// compares: the default pipeline against the optional modes, on every
+// corpus instance.
 var solverConfigs = []struct {
 	name string
 	conf func(*sat.Solver)
 }{
 	{"tiered", func(s *sat.Solver) {}},
 	{"legacy", func(s *sat.Solver) {
-		// The pre-overhaul configuration: activity-only reduction, no
-		// inprocessing, no chronological backtracking.
-		s.Reduce = sat.ReduceLegacyActivity
+		// The pre-overhaul search: no inprocessing and no chronological
+		// backtracking.
 		s.Inprocessing = sat.InprocessOff
 		s.ChronoThreshold = -1
 	}},
@@ -85,7 +84,7 @@ func modelSatisfies(s *sat.Solver, f *dimacs.Formula) bool {
 // TestDifferentialCorpus solves every corpus instance under every solver
 // configuration: the verdict must match the one encoded in the file name,
 // and Sat models must satisfy the original formula. Any divergence between
-// the legacy and tiered paths is a reduction/inprocessing soundness bug.
+// two configurations is an inprocessing or backtracking soundness bug.
 func TestDifferentialCorpus(t *testing.T) {
 	corpus := loadCorpus(t)
 	if len(corpus) < 25 {

@@ -9,11 +9,10 @@
 //
 //	tracereport [-buckets 20] [-check-only] [-spans] trace.jsonl [more.jsonl ...]
 //
-// -spans is the span-summary mode: it prints only the phase timing spans.
-// Version-2 traces (meta record carries "ver"; span records carry sid/par/
-// start_ns) render as the hierarchical span tree the harness recorded;
-// legacy PR-2 traces (no version field, flat span records) render as the
-// original flat list — old traces in results/ stay readable.
+// -spans is the span-summary mode: it prints only the run's span tree
+// (span records carry sid/par/start_ns), as zpre -trace and evaluate
+// -trace-dir record it. A trace without the version field still parses and
+// cross-checks; its flat span records are not rendered.
 //
 // Exit status: 0 = all traces consistent, 1 = a cross-check mismatch or an
 // unreadable/corrupt trace, 2 = usage error.
@@ -35,7 +34,7 @@ func run(args []string) int {
 	fs := flag.NewFlagSet("tracereport", flag.ContinueOnError)
 	buckets := fs.Int("buckets", 20, "resolution of the fraction/timeline series")
 	checkOnly := fs.Bool("check-only", false, "only run the stats cross-check, no report")
-	spansOnly := fs.Bool("spans", false, "span-summary mode: print only the phase span tree (or flat legacy spans)")
+	spansOnly := fs.Bool("spans", false, "span-summary mode: print only the run's span tree")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}

@@ -40,15 +40,16 @@ func writeV2Trace(t *testing.T, path string) {
 }
 
 // TestRoundTripBothSchemas runs the CLI over a freshly written version-2
-// trace and a hand-authored legacy PR-2 trace (no version field, flat span
-// records): both must report clean, with and without -spans.
+// trace, with and without -spans, and over a hand-authored trace of the
+// older schema (no version field, flat span records): that one must still
+// parse and cross-check.
 func TestRoundTripBothSchemas(t *testing.T) {
 	dir := t.TempDir()
 	v2 := filepath.Join(dir, "v2.jsonl")
 	writeV2Trace(t, v2)
 
-	// The legacy schema exactly as PR-2 wrote it: no "ver", no "run", span
-	// events carry only name and dur_ns.
+	// The older schema: no "ver", no "run", span events carry only name and
+	// dur_ns.
 	legacy := filepath.Join(dir, "legacy.jsonl")
 	legacyTrace := `{"seq":1,"k":"meta","task":"lit/dekker@sc/k2","strategy":"guided","model":"sc","sample":1}
 {"seq":2,"k":"dec","t":100,"i":1,"v":2,"c":"rf-external","lvl":1,"src":"vsids"}
@@ -63,7 +64,7 @@ func TestRoundTripBothSchemas(t *testing.T) {
 
 	for _, args := range [][]string{
 		{v2}, {legacy},
-		{"-spans", v2}, {"-spans", legacy},
+		{"-spans", v2},
 		{"-check-only", v2}, {"-check-only", legacy},
 		{v2, legacy},
 	} {
@@ -79,8 +80,8 @@ func TestRoundTripBothSchemas(t *testing.T) {
 	}
 }
 
-// TestSpanRendering checks the two span renderings directly: the v2 tree is
-// indented under its parents with start offsets, the legacy list stays flat.
+// TestSpanRendering checks the span rendering directly: the tree is
+// indented under its parents with start offsets.
 func TestSpanRendering(t *testing.T) {
 	dir := t.TempDir()
 	v2 := filepath.Join(dir, "v2.jsonl")
@@ -107,22 +108,5 @@ func TestSpanRendering(t *testing.T) {
 	}
 	if !strings.Contains(spans, "3ms") || !strings.Contains(spans, "6ms") {
 		t.Errorf("solve start/duration missing:\n%s", spans)
-	}
-
-	legacyEvents := []telemetry.Event{
-		{Kind: telemetry.KindMeta, Task: "t"},
-		{Kind: telemetry.KindSpan, Name: "encode", DurNS: 2e6},
-		{Kind: telemetry.KindSpan, Name: "solve", DurNS: 6e6},
-	}
-	rep, err = telemetry.AnalyzeTrace(legacyEvents, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if head := rep.FormatHeader(); strings.Contains(head, "ver=") {
-		t.Errorf("legacy header should not claim a version: %q", head)
-	}
-	spans = rep.FormatSpans()
-	if !strings.Contains(spans, "phase timings") || strings.Contains(spans, "span tree") {
-		t.Errorf("legacy spans not rendered flat:\n%s", spans)
 	}
 }

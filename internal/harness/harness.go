@@ -20,9 +20,8 @@ import (
 	"sync"
 	"time"
 
+	"zpre"
 	"zpre/internal/core"
-	"zpre/internal/cprog"
-	"zpre/internal/dataflow"
 	"zpre/internal/encode"
 	"zpre/internal/faultinject"
 	"zpre/internal/memmodel"
@@ -30,10 +29,8 @@ import (
 	"zpre/internal/order"
 	"zpre/internal/rg"
 	"zpre/internal/sat"
-	"zpre/internal/smt"
 	"zpre/internal/svcomp"
 	"zpre/internal/telemetry"
-	"zpre/internal/witness"
 )
 
 // Task is one SMT instance: a program at a memory model and unroll bound.
@@ -86,7 +83,8 @@ type RunResult struct {
 	// Resumed marks a run restored from a checkpoint rather than executed.
 	Resumed bool
 	// Checked: the verdict passed independent validation (CheckVerdicts
-	// mode). CheckSkipped: the proof exceeded the checking cap.
+	// mode). CheckSkipped: the verdict has no certificate to check (a
+	// rely-guarantee proof, or an unsat bound of an incremental sweep).
 	Checked      bool
 	CheckSkipped bool
 	// CheckErr is a validation failure (a solver bug if it ever happens).
@@ -164,14 +162,11 @@ type Config struct {
 	Seed int64
 	// Subcategories restricts the corpus (empty = all).
 	Subcategories []string
-	// CheckVerdicts validates every verdict independently: unsat answers by
-	// proof checking (internal/proof; skipped above CheckLearntCap learnt
-	// clauses — the naive RUP checker is quadratic), sat answers by witness
-	// schedule validation (internal/witness). Failures land in
-	// RunResult.CheckErr.
+	// CheckVerdicts validates every verdict independently (see
+	// zpre.Options.Check): unsat answers by proof checking
+	// (internal/proof), sat answers by witness schedule validation
+	// (internal/witness). Failures land in RunResult.CheckErr.
 	CheckVerdicts bool
-	// CheckLearntCap bounds proof checking (default 4000 learnt clauses).
-	CheckLearntCap int
 	// StaticPrune drops rf/ws interference candidates the static lockset/MHP
 	// analysis proves infeasible before they reach the solver. The encoding
 	// stays equisatisfiable; RunResult.VC records how many were dropped.
@@ -354,9 +349,6 @@ func (c *Config) fill() {
 	}
 	if c.Width == 0 {
 		c.Width = 8
-	}
-	if c.CheckLearntCap == 0 {
-		c.CheckLearntCap = 4000
 	}
 	if c.CheckpointEvery <= 0 {
 		c.CheckpointEvery = 16
@@ -680,26 +672,26 @@ func RunParallel(cfg Config) *Results {
 	return Run(cfg)
 }
 
-// RunOne encodes and solves a single task with one strategy. Panics anywhere
-// in the pipeline (unrolling, encoding, search, verdict checking) are
-// contained and classified as FailPanic on the returned result, so one
-// pathological instance fails one run, not the process.
+// RunOne verifies a single task with one strategy through zpre.Verify.
+// It adds the evaluation concerns around that call: the cancellation
+// pre-check, the run board and logger, the per-sweep rely-guarantee memo,
+// the per-run trace file and Chrome span trace, and the mapping of the
+// report onto a RunResult. Panics anywhere in the pipeline (unrolling,
+// encoding, search, verdict checking) are contained and classified as
+// FailPanic on the returned result, so one pathological instance fails one
+// run, not the process.
 func RunOne(task Task, strat core.Strategy, cfg Config) (out RunResult) {
 	cfg.fill()
 	out = RunResult{Task: task, Strategy: strat}
-	id := RunID(task, strat)
+	taskID := task.ID()
+	id := taskID + "/" + strat.String() // RunID(task, strat)
 	cfg.Board.Running(id, task.Bound)
 	if lg := obs.ForRun(cfg.Logger, id); lg != nil {
 		lg.Info("run start", "bound", task.Bound, "strategy", strat.String(), "model", task.Model.String())
 	}
-	// The span trace backs both the Chrome export and the v2 JSONL span
-	// records; when neither consumer is configured it stays nil and every
-	// span call below is a single-branch no-op.
 	var tr *obs.Trace
-	var trRoot int
-	if cfg.Chrome != nil || cfg.TraceDir != "" {
+	if cfg.Chrome != nil {
 		tr = obs.NewTrace(id)
-		trRoot = tr.Start("run")
 	}
 	var sink *telemetry.JSONLSink
 	defer func() {
@@ -716,7 +708,6 @@ func RunOne(task Task, strat core.Strategy, cfg Config) (out RunResult) {
 		// Every outcome is terminal except cancellation: a cancelled run is
 		// the one class `-resume` re-executes.
 		out.Completed = out.Failure() != sat.FailCancelled
-		tr.End(trRoot)
 		cfg.Chrome.Add(tr)
 	}()
 	if cfg.Context != nil && cfg.Context.Err() != nil {
@@ -725,223 +716,67 @@ func RunOne(task Task, strat core.Strategy, cfg Config) (out RunResult) {
 		return out
 	}
 
-	var rgRanges map[string]dataflow.Interval
-	if cfg.RG {
-		rgSpan := tr.Start("rg.prove")
-		res := cfg.rgMemo.get(task.Bench, task.Model, cfg.Width)
-		tr.End(rgSpan)
-		out.RGStabilizeIters = res.StabilizeIters
-		out.RGSkippedPrefilter = res.SkippedPrefilter
-		if res.Proved {
-			// Safe at every bound: nothing to encode or solve. No proof
-			// trace exists for the checker, so CheckVerdicts marks the run
-			// skipped rather than checked.
-			out.Status = sat.Unsat
-			out.RGProved = true
-			out.CheckSkipped = cfg.CheckVerdicts
-			return out
-		}
-		rgRanges = res.Ranges
-	}
-
-	unrollSpan := tr.Start("unroll")
-	unrollStart := time.Now()
-	unrolled := cprog.Unroll(task.Bench.Program, task.Bound, cprog.UnwindAssume)
-	out.Unroll = time.Since(unrollStart)
-	tr.End(unrollSpan)
-	encSpan := tr.Start("encode")
-	encStart := time.Now()
-	vc, err := encode.Program(unrolled, encode.Options{
-		Model:       task.Model,
-		Width:       cfg.Width,
-		WithProof:   cfg.CheckVerdicts,
-		StaticPrune: cfg.StaticPrune,
-		Dataflow:    cfg.Dataflow,
-		MHB:         cfg.MHB,
-		RGRanges:    rgRanges,
-	})
-	out.Encode = time.Since(encStart)
-	tr.End(encSpan)
-	if err != nil {
-		out.Err = err
-		return out
-	}
-	out.VC = vc.Stats
-	// The encoder's pre-analysis shares are measured sub-phases: lay them
-	// out as children of the encode span.
-	if cfg.StaticPrune {
-		tr.AddChild(encSpan, "encode.static", vc.Stats.StaticTime)
-	}
-	if cfg.Dataflow {
-		tr.AddChild(encSpan, "encode.dataflow", vc.Stats.DataflowTime)
-	}
-
-	// The decision order and the trace's class map are the classification's
-	// only readers: a baseline run without a trace needs neither.
-	var infos []core.VarInfo
-	if strat != core.Baseline || cfg.TraceDir != "" {
-		infos = core.ClassifyBuilder(vc.Builder)
-	}
-	deciderCfg := core.Config{Seed: cfg.Seed}
-	if st, ordered := vc.Static, vc.MHBOrdered; st != nil || ordered != nil {
-		deciderCfg.Score = func(vi core.VarInfo) int {
-			// Must-ordered pairs are forced by unit propagation from the
-			// closure's level-0 fixed edges: decide them last.
-			if ordered != nil && ordered(vi.ReadThread, vi.ReadIdx, vi.WriteThread, vi.WriteIdx) {
-				return -1
-			}
-			if st == nil {
-				return 0
-			}
-			return st.PairScore(vi.ReadThread, vi.ReadIdx, vi.WriteThread, vi.WriteIdx)
-		}
-	}
-	dec := core.NewDecider(strat, infos, deciderCfg)
-	var decider sat.Decider
-	if dec != nil {
-		decider = dec
-	}
-
-	// Observability: a private trace sink per run (workers never share
-	// one), live metrics aggregated across workers via atomic counters.
-	var tracer *telemetry.SolverTracer
-	if cfg.TraceDir != "" {
-		sink, err = telemetry.NewFileSink(filepath.Join(cfg.TraceDir, TraceFileName(task, strat)))
-		if err != nil {
-			out.Err = err
-			return out
-		}
-		tracer = telemetry.NewSolverTracer(sink, telemetry.TracerOptions{
-			Classes:  core.TraceClasses(vc.Builder, infos),
-			Task:     task.ID(),
-			Strategy: strat.String(),
-			Model:    task.Model.String(),
-			Every:    cfg.TraceEvery,
-			RunID:    id,
-		})
-	}
-	var metrics *telemetry.MetricsTracer
-	if cfg.Metrics != nil {
-		metrics = telemetry.NewMetricsTracer(cfg.Metrics)
-	}
-	var satTracer sat.Tracer
-	if tracer != nil || metrics != nil {
-		satTracer = telemetry.Combine(traceOrNil(tracer), metricsOrNil(metrics))
-	}
-
-	opts := smt.Options{
-		Decider:        decider,
+	opts := zpre.Options{
+		Model:          task.Model,
+		Strategy:       strat,
+		Unroll:         task.Bound,
+		Width:          cfg.Width,
+		Timeout:        cfg.Timeout,
 		MaxConflicts:   cfg.MaxConflicts,
 		MaxDecisions:   cfg.MaxDecisions,
 		MaxMemoryBytes: cfg.MaxMemoryBytes,
 		Context:        cfg.Context,
-		Tracer:         satTracer,
-		TimePhases:     cfg.TimePhases || tracer != nil || tr != nil,
+		Seed:           cfg.Seed,
+		StaticPrune:    cfg.StaticPrune,
+		Dataflow:       cfg.Dataflow,
+		RG:             cfg.RG,
+		MHB:            cfg.MHB,
+		TraceEvery:     cfg.TraceEvery,
+		TraceTask:      taskID,
+		TimePhases:     cfg.TimePhases,
+		Spans:          tr,
+		Faults:         cfg.Faults,
+		FaultLabel:     id,
+		Metrics:        cfg.Metrics,
+		Check:          cfg.CheckVerdicts,
 	}
-	if cfg.Faults != nil {
-		label := task.ID() + "/" + strat.String()
-		opts.Tracer = cfg.Faults.Tracer(label, opts.Tracer)
-		opts.WrapTheory = func(th sat.Theory) sat.Theory {
-			return cfg.Faults.Theory(label, th)
+	if cfg.RG {
+		opts.RGResult = cfg.rgMemo.get(task.Bench, task.Model, cfg.Width)
+	}
+	// A private trace file per run (workers never share a sink); a proved
+	// pair never reaches the solver and leaves no trace.
+	if cfg.TraceDir != "" && (opts.RGResult == nil || !opts.RGResult.Proved) {
+		var err error
+		if sink, err = telemetry.NewFileSink(filepath.Join(cfg.TraceDir, TraceFileName(task, strat))); err != nil {
+			out.Err = err
+			return out
 		}
+		opts.TraceSink = sink
 	}
-	if cfg.Timeout > 0 {
-		opts.Deadline = time.Now().Add(cfg.Timeout)
-	}
-	if cfg.Metrics != nil {
-		running := cfg.Metrics.Gauge("solves_running")
-		running.Add(1)
-		defer running.Add(-1)
-	}
-	solveSpan := tr.Start("solve")
-	r, err := vc.Builder.Solve(opts)
-	if metrics != nil {
-		metrics.Flush()
-	}
-	tr.End(solveSpan)
-	if err != nil {
-		if tracer != nil {
-			sink.Close()
+	rep, err := zpre.Verify(task.Bench.Program, opts)
+	if sink != nil {
+		if cerr := sink.Close(); cerr != nil && err == nil {
+			err = cerr
 		}
-		out.Err = err
-		return out
+		sink = nil
 	}
-	out.Status = r.Status
-	out.Stop = r.Stop
-	out.Solve = r.Elapsed
-	out.Stats = r.Stats
-	out.Timings = r.Timings
-	out.OrderStats = r.OrderStats
-	// The in-solve phase split comes from the solver's own timers, so the
-	// solve span's children sum exactly to sat.SearchTimings.
-	tr.AddChild(solveSpan, "solve.bcp", r.Timings.BCP)
-	tr.AddChild(solveSpan, "solve.theory", r.Timings.Theory)
-	tr.AddChild(solveSpan, "solve.analyze", r.Timings.Analyze)
-	tr.AddChild(solveSpan, "solve.reduce", r.Timings.Reduce)
-	tr.AddChild(solveSpan, "solve.inprocess", r.Timings.Inprocess)
-	if cfg.CheckVerdicts {
-		checkSpan := tr.Start("check")
-		checkVerdict(&out, vc, cfg)
-		tr.End(checkSpan)
-	}
-	if tracer != nil {
-		// Close the root now so the JSONL trace carries the complete span
-		// tree (the deferred End is then a no-op).
-		tr.End(trRoot)
-		for _, sp := range tr.Spans() {
-			tracer.SpanAt(sp.Name, sp.ID, sp.Parent, sp.Start, sp.Dur)
-		}
-		if cerr := tracer.Close(r.StatsDelta); cerr != nil && out.Err == nil {
-			out.Err = cerr
-		}
-		if cerr := sink.Close(); cerr != nil && out.Err == nil {
-			out.Err = cerr
-		}
-	}
+	out.Err = err
+	out.Status = rep.Status
+	out.Stop = rep.Stop
+	out.Unroll = rep.UnrollTime
+	out.Encode = rep.EncodeTime
+	out.Solve = rep.SolveTime
+	out.Stats = rep.SolverStats
+	out.Timings = rep.SearchTimings
+	out.OrderStats = rep.OrderStats
+	out.VC = rep.EncodeStats
+	out.RGProved = rep.RGProved
+	out.RGStabilizeIters = rep.RGStabilizeIters
+	out.RGSkippedPrefilter = rep.RGSkippedPrefilter
+	out.Checked = rep.ProofChecked
+	out.CheckSkipped = rep.CheckSkipped
+	out.CheckErr = rep.CheckErr
 	return out
-}
-
-// traceOrNil avoids a typed-nil sat.Tracer interface from a nil *SolverTracer.
-func traceOrNil(t *telemetry.SolverTracer) sat.Tracer {
-	if t == nil {
-		return nil
-	}
-	return t
-}
-
-// metricsOrNil avoids a typed-nil sat.Tracer interface from a nil *MetricsTracer.
-func metricsOrNil(m *telemetry.MetricsTracer) sat.Tracer {
-	if m == nil {
-		return nil
-	}
-	return m
-}
-
-// checkVerdict validates the run's answer independently of the solver.
-func checkVerdict(out *RunResult, vc *encode.VC, cfg Config) {
-	switch out.Status {
-	case sat.Unsat:
-		_, learnts, _, _ := vc.Proof.Stats()
-		if learnts > cfg.CheckLearntCap {
-			out.CheckSkipped = true
-			return
-		}
-		if err := vc.Builder.CheckProof(vc.Proof); err != nil {
-			out.CheckErr = err
-			return
-		}
-		out.Checked = true
-	case sat.Sat:
-		steps, err := witness.Extract(vc)
-		if err == nil {
-			err = witness.Validate(steps)
-		}
-		if err != nil {
-			out.CheckErr = err
-			return
-		}
-		out.Checked = true
-	}
 }
 
 // byTask groups runs per task id and strategy.

@@ -11,6 +11,7 @@ import (
 	"zpre/internal/incremental"
 	"zpre/internal/obs"
 	"zpre/internal/sat"
+	"zpre/internal/telemetry"
 )
 
 // groupTask pairs a task with its slot in the Tasks order, so sweep results
@@ -108,7 +109,6 @@ func newSweep(task Task, strat core.Strategy, cfg Config) (*incremental.Sweep, e
 		TimePhases:     cfg.TimePhases,
 		CheckWitness:   cfg.CheckVerdicts,
 		Dataflow:       cfg.Dataflow,
-		MHB:            cfg.MHB,
 	}
 	if cfg.RG {
 		// Only unproven pairs reach a sweep (runSweepGroup short-circuits
@@ -287,11 +287,21 @@ func runSweepBound(sweep *incremental.Sweep, task Task, strat core.Strategy, cfg
 		out.Err = fmt.Errorf("sweep already at bound %d, cannot re-solve bound %d", sweep.Bound(), task.Bound)
 		return out
 	}
+	// The live metrics and fault injection observe this bound's solve, as
+	// they observe a fresh run's; the fault tracer wraps the metrics one.
+	var metrics *telemetry.MetricsTracer
+	var tracer sat.Tracer
+	if cfg.Metrics != nil {
+		metrics = telemetry.NewMetricsTracer(cfg.Metrics)
+		tracer = metrics
+	}
+	var wrap func(sat.Theory) sat.Theory
 	if cfg.Faults != nil {
-		label := task.ID() + "/" + strat.String()
-		sweep.SetInstruments(cfg.Faults.Tracer(label, nil), func(th sat.Theory) sat.Theory {
-			return cfg.Faults.Theory(label, th)
-		})
+		tracer = cfg.Faults.Tracer(id, tracer)
+		wrap = func(th sat.Theory) sat.Theory { return cfg.Faults.Theory(id, th) }
+	}
+	if tracer != nil || wrap != nil {
+		sweep.SetInstruments(tracer, wrap)
 	}
 	for sweep.Bound() < task.Bound-1 {
 		if err := sweep.ExtendOnly(); err != nil {
@@ -300,6 +310,9 @@ func runSweepBound(sweep *incremental.Sweep, task Task, strat core.Strategy, cfg
 		}
 	}
 	br, err := sweep.Next()
+	if metrics != nil {
+		metrics.Flush()
+	}
 	if err != nil {
 		out.Err = err
 		return out

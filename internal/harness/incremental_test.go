@@ -227,3 +227,40 @@ func TestIncrementalInjectedPanicIsolatedToBound(t *testing.T) {
 		t.Fatalf("tasks_panicked = %d, want 1", got)
 	}
 }
+
+// TestIncrementalFeedsSolverMetrics: a sweep's bounds feed the live solver
+// counters exactly as fresh runs do, so the registry's conflict and
+// decision totals equal the sum of the per-bound Stats. Two workers share
+// the registry, which makes this a race test under -race.
+func TestIncrementalFeedsSolverMetrics(t *testing.T) {
+	cfg := Config{
+		Models:        []memmodel.Model{memmodel.SC},
+		Strategies:    []core.Strategy{core.ZPRE},
+		Bounds:        []int{1, 2, 3},
+		Timeout:       time.Minute,
+		Width:         8,
+		Seed:          1,
+		Subcategories: []string{"wmm"},
+		Incremental:   true,
+		Parallel:      2,
+		Metrics:       telemetry.NewRegistry(),
+	}
+	res := Run(cfg)
+	var conflicts, decisions uint64
+	for _, r := range res.Runs {
+		if r.Err != nil {
+			t.Fatalf("%s: %v", RunID(r.Task, r.Strategy), r.Err)
+		}
+		conflicts += r.Stats.Conflicts
+		decisions += r.Stats.Decisions
+	}
+	if conflicts == 0 {
+		t.Fatal("the sweep made no conflicts; the check would be vacuous")
+	}
+	if got := cfg.Metrics.Counter("solver_conflicts").Value(); got != conflicts {
+		t.Errorf("registry solver_conflicts = %d, per-bound stats sum to %d", got, conflicts)
+	}
+	if got := cfg.Metrics.Counter("solver_decisions").Value(); got != decisions {
+		t.Errorf("registry solver_decisions = %d, per-bound stats sum to %d", got, decisions)
+	}
+}

@@ -54,8 +54,6 @@ type Options struct {
 	Strategy core.Strategy
 	// Width is the program integer bit width (default 8).
 	Width int
-	// Unwind selects the loop-frontier semantics (default UnwindAssume).
-	Unwind cprog.UnrollMode
 	// Timeout is the per-bound solve budget (0 = none).
 	Timeout time.Duration
 	// MaxConflicts / MaxDecisions / MaxMemoryBytes are per-bound solver
@@ -67,10 +65,6 @@ type Options struct {
 	Context context.Context
 	// Seed drives the strategies' random polarity choice.
 	Seed int64
-	// Polarity overrides the decision polarity mode.
-	Polarity core.PolarityMode
-	// EagerOrderPropagation switches the theory to eager propagation.
-	EagerOrderPropagation bool
 	// Tracer observes each bound's search (telemetry seam); TimePhases adds
 	// the per-phase time split.
 	Tracer     sat.Tracer
@@ -86,10 +80,6 @@ type Options struct {
 	// program (see encode.Options.Dataflow); its facts are bound-
 	// independent, so pruning composes with the delta encoding.
 	Dataflow bool
-	// MHB is accepted for configuration symmetry with the fresh pipeline
-	// and ignored: happens-before edge fixing is not bound-monotone, so
-	// the delta encoder forces it off (see encode.NewIncremental).
-	MHB bool
 	// RGRanges injects rely-guarantee invariant ranges as guarded per-read
 	// constraints (see encode.Options.RGRanges). The ranges hold at every
 	// unrolling bound, so each constraint is asserted once when its read is
@@ -138,9 +128,7 @@ func New(p *cprog.Program, opts Options) (*Sweep, error) {
 	inc, err := encode.NewIncremental(p, encode.Options{
 		Model:    opts.Model,
 		Width:    opts.Width,
-		Unwind:   opts.Unwind,
 		Dataflow: opts.Dataflow,
-		MHB:      opts.MHB,
 		RGRanges: opts.RGRanges,
 	})
 	if err != nil {
@@ -186,21 +174,17 @@ func (s *Sweep) Next() (BoundResult, error) {
 
 	var decider sat.Decider
 	if s.opts.Strategy != core.Baseline {
-		decider = core.NewDecider(s.opts.Strategy, core.ClassifyBuilder(vc.Builder), core.Config{
-			Seed:     s.opts.Seed,
-			Polarity: s.opts.Polarity,
-		})
+		decider = core.NewDecider(s.opts.Strategy, core.ClassifyBuilder(vc.Builder), core.Config{Seed: s.opts.Seed})
 	}
 	o := smt.Options{
-		Decider:               decider,
-		Context:               s.opts.Context,
-		MaxConflicts:          s.opts.MaxConflicts,
-		MaxDecisions:          s.opts.MaxDecisions,
-		MaxMemoryBytes:        s.opts.MaxMemoryBytes,
-		EagerOrderPropagation: s.opts.EagerOrderPropagation,
-		Tracer:                s.opts.Tracer,
-		TimePhases:            s.opts.TimePhases,
-		WrapTheory:            s.opts.WrapTheory,
+		Decider:        decider,
+		Context:        s.opts.Context,
+		MaxConflicts:   s.opts.MaxConflicts,
+		MaxDecisions:   s.opts.MaxDecisions,
+		MaxMemoryBytes: s.opts.MaxMemoryBytes,
+		Tracer:         s.opts.Tracer,
+		TimePhases:     s.opts.TimePhases,
+		WrapTheory:     s.opts.WrapTheory,
 	}
 	if s.opts.Timeout > 0 {
 		o.Deadline = time.Now().Add(s.opts.Timeout)

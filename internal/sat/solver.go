@@ -4,22 +4,6 @@ import (
 	"time"
 )
 
-// ReducePolicy selects the learnt-clause database reduction policy.
-type ReducePolicy int
-
-// Reduction policies.
-const (
-	// ReduceTiered is the default LBD-tiered policy: glue clauses
-	// (LBD <= 2) are kept forever, mid-tier clauses (LBD <= 6) survive as
-	// long as they keep participating in conflicts and are demoted to the
-	// local tier when they stop, and local clauses compete by activity.
-	ReduceTiered ReducePolicy = iota
-	// ReduceLegacyActivity is the pre-arena policy: order by (glue,
-	// activity) and drop the worst half. Kept flag-gated so the DIMACS
-	// differential tests can compare the two paths verdict for verdict.
-	ReduceLegacyActivity
-)
-
 // InprocessMode selects the between-restart inprocessing pipeline.
 type InprocessMode int
 
@@ -82,8 +66,6 @@ type Solver struct {
 	// Timings, when set, accumulates per-phase solve time (BCP vs theory
 	// vs analyze vs reduce). Nil skips all clock reads.
 	Timings *SearchTimings
-	// Reduce selects the learnt-database reduction policy (default tiered).
-	Reduce ReducePolicy
 	// Inprocessing selects the inprocessing pipeline (default on; see
 	// InprocessMode for the BVE caveats).
 	Inprocessing InprocessMode
@@ -691,7 +673,11 @@ func (s *Solver) updateLBD(r ClauseRef) {
 	s.ca.setLBDTier(r, nl, tier)
 }
 
-// LBD tier boundaries (see ReduceTiered).
+// LBD tier boundaries of the learnt-clause database (see reduceDB): glue
+// clauses (LBD <= coreLBD) are kept forever, mid-tier clauses (LBD <=
+// midLBD) survive as long as they keep participating in conflicts and are
+// demoted to the local tier when they stop, and local clauses compete by
+// activity.
 const (
 	coreLBD = 2
 	midLBD  = 6
@@ -1159,14 +1145,10 @@ func (s *Solver) timedReduceDB() {
 	}
 }
 
-// reduceDB removes a slice of the learnt clauses under the configured
+// reduceDB removes a slice of the learnt clauses under the LBD-tiered
 // policy. Watchers are purged lazily via the deleted flag; arena space is
 // reclaimed by compaction at the next restart.
 func (s *Solver) reduceDB() {
-	if s.Reduce == ReduceLegacyActivity {
-		s.reduceDBLegacy()
-		return
-	}
 	// Tiered policy: core clauses are permanent; mid clauses stay while
 	// they keep getting used between reductions and are demoted otherwise;
 	// local clauses compete by activity and lose half their number.
@@ -1205,32 +1187,6 @@ func (s *Solver) reduceDB() {
 	}
 	s.learnts = keep
 	s.localRefs = local[:0]
-}
-
-// reduceDBLegacy is the pre-arena policy: order by (glue, activity), keep
-// binaries, glue and locked clauses plus the better half.
-func (s *Solver) reduceDBLegacy() {
-	ls := s.learnts
-	sortRefs(ls, func(a, b ClauseRef) bool {
-		ga, gb := s.ca.lbd(a) <= coreLBD, s.ca.lbd(b) <= coreLBD
-		if ga != gb {
-			return ga
-		}
-		return s.ca.activity(a) > s.ca.activity(b)
-	})
-	keep := ls[:0]
-	limit := len(ls) / 2
-	for i, r := range ls {
-		if s.ca.deleted(r) {
-			continue
-		}
-		if s.ca.size(r) <= 2 || s.ca.lbd(r) <= coreLBD || s.locked(r) || i < limit {
-			keep = append(keep, r)
-		} else {
-			s.deleteClause(r)
-		}
-	}
-	s.learnts = keep
 }
 
 // deleteClause marks the clause deleted (watchers purge lazily) and records

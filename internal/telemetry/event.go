@@ -39,7 +39,8 @@ const (
 	KindReduce = "reduce"
 	// KindInprocess is one inprocessing round (subsumption/strengthening).
 	KindInprocess = "inproc"
-	// KindSpan is a named phase timing (parse/encode/static/solve/...).
+	// KindSpan is one node of the run's span tree (run, rg.prove, unroll,
+	// encode, solve, the in-solve split, check).
 	KindSpan = "span"
 	// KindSummary closes a trace: exact event counts and the solver's
 	// Stats delta for the traced solve.
@@ -47,11 +48,10 @@ const (
 )
 
 // TraceVersion is the schema version written into the opening meta event.
-// Version 0 (the field absent) is the legacy PR-2 schema, whose span events
-// are a flat (name, duration) list. Version 2 traces additionally carry a
-// run id in the meta record and hierarchical span events (id, parent, start
-// offset), from which a span tree can be rebuilt. Readers must accept both:
-// old traces in results/ stay readable forever.
+// Version 2 traces carry a run id in the meta record and hierarchical span
+// events (id, parent, start offset), from which the span tree is rebuilt.
+// An older trace without the version field still parses and cross-checks;
+// its flat span events have no tree position and are not rendered.
 const TraceVersion = 2
 
 // Event is one JSONL trace record. Fields are populated per kind; unused
@@ -63,8 +63,8 @@ type Event struct {
 	// and span events only — the clock is not read on batched kinds).
 	TNS int64 `json:"t,omitempty"`
 
-	// Meta fields. Version is the trace schema version (0 = legacy PR-2
-	// schema, TraceVersion = current); Run is the stable run id
+	// Meta fields. Version is the trace schema version (TraceVersion); Run
+	// is the stable run id
 	// (subcategory/benchmark@model/k<bound>/strategy) that joins this trace
 	// to metric labels, slog lines and the live /runs surface.
 	Task     string `json:"task,omitempty"`
@@ -105,10 +105,9 @@ type Event struct {
 	Subsumed     int `json:"sub,omitempty"`
 	Strengthened int `json:"str,omitempty"`
 
-	// Span fields. Legacy (version 0) span events carry only Name and
-	// DurNS. Version 2 span events additionally carry a per-trace span ID,
-	// the parent span's ID (0 = root) and the span's start offset from the
-	// trace origin, so the reader can rebuild the span tree exactly.
+	// Span fields: the span's name and duration, its per-trace span ID,
+	// the parent span's ID (0 = root) and its start offset from the trace
+	// origin, so the reader can rebuild the span tree exactly.
 	Name    string `json:"name,omitempty"`
 	DurNS   int64  `json:"dur_ns,omitempty"`
 	SpanID  int    `json:"sid,omitempty"`

@@ -272,77 +272,60 @@ func (r *Report) FormatHeader() string {
 	return b.String()
 }
 
-// FormatSpans renders the trace's phase timings. Version-2 traces carry
-// hierarchical span events (sid, par, start_ns), which render as an
-// indented tree with each span's start offset from the run origin; legacy
-// version-0 spans (sid absent) render as the original flat name+duration
-// list. A mixed trace renders the tree first, then any flat spans.
+// FormatSpans renders the trace's span tree (sid, par, start_ns) as an
+// indented tree with each span's start offset from the run origin. Span
+// events without a tree position (an older trace's flat spans) are not
+// rendered.
 func (r *Report) FormatSpans() string {
-	if len(r.Spans) == 0 {
-		return ""
-	}
-	var tree, flat []Event
+	children := map[int][]Event{}
+	known := map[int]bool{}
 	for _, sp := range r.Spans {
 		if sp.SpanID > 0 {
-			tree = append(tree, sp)
-		} else {
-			flat = append(flat, sp)
-		}
-	}
-	var b strings.Builder
-	if len(tree) > 0 {
-		b.WriteString("span tree (start offset, duration):\n")
-		children := map[int][]Event{}
-		known := map[int]bool{}
-		for _, sp := range tree {
 			known[sp.SpanID] = true
 		}
-		for _, sp := range tree {
-			par := sp.ParID
-			// A dangling parent id (truncated trace, or a span whose
-			// parent was sampled away) promotes the span to a root
-			// rather than dropping it.
-			if !known[par] || par == sp.SpanID {
-				par = 0
-			}
-			children[par] = append(children[par], sp)
-		}
-		for _, kids := range children { //mapiter:ok order restored by per-slice sort below
-			sort.Slice(kids, func(i, j int) bool {
-				if kids[i].StartNS != kids[j].StartNS {
-					return kids[i].StartNS < kids[j].StartNS
-				}
-				return kids[i].SpanID < kids[j].SpanID
-			})
-		}
-		// visited guards against parent-id cycles in corrupt traces.
-		visited := map[int]bool{}
-		var render func(id, depth int)
-		render = func(id, depth int) {
-			for _, sp := range children[id] {
-				if visited[sp.SpanID] {
-					continue
-				}
-				visited[sp.SpanID] = true
-				fmt.Fprintf(&b, "  %-30s %10v %12v\n",
-					strings.Repeat("  ", depth)+sp.Name,
-					time.Duration(sp.StartNS).Round(time.Microsecond),
-					time.Duration(sp.DurNS).Round(time.Microsecond))
-				render(sp.SpanID, depth+1)
-			}
-		}
-		render(0, 0)
 	}
-	if len(flat) > 0 {
-		if len(tree) > 0 {
-			b.WriteString("flat phase timings:\n")
-		} else {
-			b.WriteString("phase timings:\n")
+	if len(known) == 0 {
+		return ""
+	}
+	for _, sp := range r.Spans {
+		if sp.SpanID <= 0 {
+			continue
 		}
-		for _, sp := range flat {
-			fmt.Fprintf(&b, "  %-16s %v\n", sp.Name, time.Duration(sp.DurNS).Round(time.Microsecond))
+		par := sp.ParID
+		// A dangling parent id (truncated trace, or a span whose parent was
+		// sampled away) promotes the span to a root rather than dropping it.
+		if !known[par] || par == sp.SpanID {
+			par = 0
+		}
+		children[par] = append(children[par], sp)
+	}
+	for _, kids := range children { //mapiter:ok order restored by per-slice sort below
+		sort.Slice(kids, func(i, j int) bool {
+			if kids[i].StartNS != kids[j].StartNS {
+				return kids[i].StartNS < kids[j].StartNS
+			}
+			return kids[i].SpanID < kids[j].SpanID
+		})
+	}
+	var b strings.Builder
+	b.WriteString("span tree (start offset, duration):\n")
+	// visited guards against parent-id cycles in corrupt traces.
+	visited := map[int]bool{}
+	var render func(id, depth int)
+	render = func(id, depth int) {
+		for _, sp := range children[id] {
+			if visited[sp.SpanID] {
+				continue
+			}
+			visited[sp.SpanID] = true
+			fmt.Fprintf(&b, "  %-30s %10v %12v\n",
+				strings.Repeat("  ", depth)+sp.Name,
+				time.Duration(sp.StartNS).Round(time.Microsecond),
+				time.Duration(sp.DurNS).Round(time.Microsecond))
+			render(sp.SpanID, depth+1)
 		}
 	}
+	render(0, 0)
 	return b.String()
 }
 
@@ -371,9 +354,9 @@ func (r *Report) Format() string {
 				c.Inprocessings, c.Subsumed, c.Strengthened)
 		}
 	}
-	if len(r.Spans) > 0 {
+	if spans := r.FormatSpans(); spans != "" {
 		b.WriteString("\n")
-		b.WriteString(r.FormatSpans())
+		b.WriteString(spans)
 	}
 
 	if r.Summary != nil && r.Summary.Counts != nil && len(r.Summary.Counts.ByClass) > 0 {

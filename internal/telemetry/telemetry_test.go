@@ -385,8 +385,8 @@ func TestCombine(t *testing.T) {
 func TestSpanEvents(t *testing.T) {
 	sink := &MemorySink{}
 	tr := NewSolverTracer(sink, TracerOptions{})
-	tr.Span("encode", 3*time.Millisecond)
-	tr.Span("solve", 5*time.Millisecond)
+	tr.SpanAt("encode", 1, 0, 0, 3*time.Millisecond)
+	tr.SpanAt("solve", 2, 0, 3*time.Millisecond, 5*time.Millisecond)
 	if err := tr.Close(sat.Stats{}); err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ import (
 
 	"zpre/internal/core"
 	"zpre/internal/cprog"
+	"zpre/internal/encode"
 	"zpre/internal/incremental"
 	"zpre/internal/interp"
 	"zpre/internal/memmodel"
@@ -203,11 +204,10 @@ main { }
 }
 
 // TestMHBIncrementalUnaffected pins the bound-monotonicity contract: the
-// incremental sweep accepts the MHB flag for configuration symmetry but
-// must force it off (a read that is single-candidate at bound k can gain
-// candidates at bound k+1, so an edge fixed early would over-constrain the
-// later instance). The sweep with the flag set must match the fresh
-// MHB-closed pipeline bound for bound.
+// delta encoder accepts the MHB flag but must force it off (a read that is
+// single-candidate at bound k can gain candidates at bound k+1, so an edge
+// fixed early would over-constrain the later instance). The incremental
+// sweep must match the fresh MHB-closed pipeline bound for bound.
 func TestMHBIncrementalUnaffected(t *testing.T) {
 	models := []memmodel.Model{memmodel.SC, memmodel.TSO, memmodel.PSO}
 	var loopy []svcomp.Benchmark
@@ -223,7 +223,7 @@ func TestMHBIncrementalUnaffected(t *testing.T) {
 	for _, b := range loopy {
 		for _, model := range models {
 			sweep, err := incremental.New(b.Program, incremental.Options{
-				Model: model, Strategy: core.ZPRE, Timeout: 30 * time.Second, MHB: true,
+				Model: model, Strategy: core.ZPRE, Timeout: 30 * time.Second,
 			})
 			if errors.Is(err, incremental.ErrUnsupported) {
 				continue
@@ -231,12 +231,19 @@ func TestMHBIncrementalUnaffected(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s@%s: incremental setup: %v", b.Name, model, err)
 			}
+			delta, err := encode.NewIncremental(b.Program, encode.Options{Model: model, MHB: true})
+			if err != nil {
+				t.Fatalf("%s@%s: delta encoder setup: %v", b.Name, model, err)
+			}
 			for k := 1; k <= 3; k++ {
 				br, err := sweep.Next()
 				if err != nil {
 					t.Fatalf("%s@%s/k%d: incremental: %v", b.Name, model, k, err)
 				}
-				if fixed := sweep.VC().Stats.MHBFixedRF + sweep.VC().Stats.MHBFixedFR; fixed != 0 {
+				if _, err := delta.Extend(); err != nil {
+					t.Fatalf("%s@%s/k%d: delta encoder: %v", b.Name, model, k, err)
+				}
+				if fixed := delta.VC().Stats.MHBFixedRF + delta.VC().Stats.MHBFixedFR; fixed != 0 {
 					t.Fatalf("%s@%s/k%d: delta encoder fixed %d MHB edges; must be forced off",
 						b.Name, model, k, fixed)
 				}

@@ -117,14 +117,6 @@ type Options struct {
 	Context context.Context
 	// Seed drives the random polarity of interference decisions.
 	Seed int64
-	// Polarity overrides the interference decision polarity (default
-	// random, as in the paper).
-	Polarity core.PolarityMode
-	// DisableNumWrites drops the #write ranking from ZPRE (ablation).
-	DisableNumWrites bool
-	// EagerOrderPropagation turns on eager reachability propagation in the
-	// ordering theory (ablation; off in the paper's setting).
-	EagerOrderPropagation bool
 	// StaticPrune drops interference candidates the static lockset/MHP
 	// pre-analysis proves redundant before solving (see
 	// encode.Options.StaticPrune). The pruned VC is equisatisfiable;
@@ -176,21 +168,24 @@ type Options struct {
 	RGResult *rg.Result
 	// TraceSink, when non-nil, receives the structured search trace
 	// (decisions with variable class, conflicts with LBD, restarts, ...;
-	// see internal/telemetry). The caller owns the sink's lifetime.
+	// see internal/telemetry), closed by the run's span tree and the
+	// summary record. The caller owns the sink's lifetime.
 	TraceSink telemetry.Sink
 	// TraceEvery subsamples high-volume trace events: every Nth
 	// decision/conflict is recorded (0 or 1 = all; counts stay exact).
 	TraceEvery int
 	// TraceTask labels the trace's meta record. Verify defaults it to the
-	// program name.
+	// program name. TraceTask + "/" + the strategy name is the run id the
+	// trace's meta record and span tree carry.
 	TraceTask string
 	// TimePhases splits solve time across BCP/theory/analyze/reduce into
 	// Report.SearchTimings.
 	TimePhases bool
 	// Spans, when non-nil, receives this call's hierarchical span trace
-	// (rg prove, unroll, encode with static/dataflow children, solve with
-	// the in-solve phase split) for Chrome trace-event export; see
-	// internal/obs. Implies TimePhases. Ignored by VerifyEach.
+	// under a "run" root (rg prove, unroll, encode with static/dataflow
+	// children, solve with the in-solve phase split, check) for Chrome
+	// trace-event export; see internal/obs. Implies TimePhases. Ignored by
+	// VerifyEach.
 	Spans *obs.Trace
 	// Faults, when non-nil, arms deterministic fault injection at the
 	// solver's tracer and theory seams for this call (see
@@ -199,6 +194,19 @@ type Options struct {
 	Faults *faultinject.Set
 	// FaultLabel is the label Faults match against (defaults to TraceTask).
 	FaultLabel string
+	// Metrics, when non-nil, receives live search counters
+	// (solver_decisions, solver_conflicts, ...; see
+	// telemetry.NewMetricsTracer) and the solves_running gauge, aggregated
+	// across concurrent calls.
+	Metrics *telemetry.Registry
+	// Check validates the verdict independently of the solver: a Safe
+	// verdict's refutation is replayed by the proof checker
+	// (internal/proof), an Unsafe verdict's model is linearised into a
+	// witness schedule whose memory semantics are validated
+	// (internal/witness). The outcome lands in Report.ProofChecked,
+	// CheckSkipped and CheckErr; Verify itself does not fail on a rejection
+	// (VerifyWithProof does).
+	Check bool
 }
 
 // Report is the result of a Verify call.
@@ -215,16 +223,23 @@ type Report struct {
 	EncodeStats encode.Stats
 	// SolveTime is the backend solving time (what the paper measures).
 	SolveTime time.Duration
-	// EncodeTime is the frontend encoding time.
+	// UnrollTime is the loop-unrolling time; EncodeTime the frontend
+	// encoding time.
+	UnrollTime time.Duration
 	EncodeTime time.Duration
 	// SearchTimings is the in-solve phase split (Options.TimePhases).
 	SearchTimings sat.SearchTimings
 	// OrderStats are the ordering theory's work counters (cycle checks,
 	// theory conflicts, eager propagations).
 	OrderStats order.Stats
-	// ProofChecked is true when a Safe verdict's refutation was validated
-	// by the independent proof checker (VerifyWithProof only).
+	// ProofChecked is true when the verdict passed independent validation
+	// (Options.Check). CheckSkipped marks a checked call whose verdict has
+	// no certificate to validate: an UnboundedSafe verdict, whose proof is
+	// the rely-guarantee outline rather than an SMT refutation. CheckErr is
+	// a validation failure (a solver bug if it ever happens).
 	ProofChecked bool
+	CheckSkipped bool
+	CheckErr     error
 	// RGProved is true when the verdict is UnboundedSafe: the
 	// rely-guarantee engine proved the program at every bound and the SMT
 	// backend never ran.
@@ -246,70 +261,83 @@ func ParseProgram(name, src string) (*cprog.Program, error) {
 
 // Verify encodes the program at the configured unrolling bound and memory
 // model and solves the verification condition with the selected strategy.
-func Verify(p *cprog.Program, opts Options) (Report, error) {
+// It is the one fresh verification path: the CLI, the zpred portfolio and
+// the evaluation harness all run rely-guarantee proof → unroll → encode →
+// classify → decide → solve → check through it. On an error the returned
+// Report keeps what was measured before it.
+func Verify(p *cprog.Program, opts Options) (rep Report, err error) {
 	if opts.Unroll <= 0 {
 		opts.Unroll = 1
 	}
 	if opts.TraceTask == "" {
 		opts.TraceTask = p.Name
 	}
+	spans := opts.Spans
+	if spans == nil && opts.TraceSink != nil {
+		// The JSONL trace closes with the span tree even when no Chrome
+		// consumer asked for one.
+		spans = obs.NewTrace(opts.runID())
+	}
+	root := spans.Start("run")
+	defer spans.End(root)
+
 	var rgRanges map[string]dataflow.Interval
-	var rgIters int
-	var rgSkipped bool
 	if opts.RG {
-		rgSpan := opts.Spans.Start("rg.prove")
+		rgSpan := spans.Start("rg.prove")
 		res, err := resolveRG(p, opts)
-		opts.Spans.End(rgSpan)
+		spans.End(rgSpan)
 		if err != nil {
-			return Report{}, err
+			return rep, err
 		}
-		rgIters = res.StabilizeIters
-		rgSkipped = res.SkippedPrefilter
+		rep.RGStabilizeIters = res.StabilizeIters
+		rep.RGSkippedPrefilter = res.SkippedPrefilter
 		if res.Proved {
-			return Report{
-				Verdict:          UnboundedSafe,
-				Status:           sat.Unsat,
-				RGProved:         true,
-				RGStabilizeIters: res.StabilizeIters,
-			}, nil
+			rep.Verdict = UnboundedSafe
+			rep.Status = sat.Unsat
+			rep.RGProved = true
+			rep.CheckSkipped = opts.Check
+			return rep, nil
 		}
 		rgRanges = res.Ranges
 	}
-	unrollSpan := opts.Spans.Start("unroll")
-	unrolled := cprog.Unroll(p, opts.Unroll, cprog.UnwindAssume)
-	opts.Spans.End(unrollSpan)
 
-	encSpan := opts.Spans.Start("encode")
+	unrollSpan := spans.Start("unroll")
+	unrollStart := time.Now()
+	unrolled := cprog.Unroll(p, opts.Unroll, cprog.UnwindAssume)
+	rep.UnrollTime = time.Since(unrollStart)
+	spans.End(unrollSpan)
+
+	encSpan := spans.Start("encode")
 	encStart := time.Now()
 	vc, err := encode.Program(unrolled, encode.Options{
 		Model:       opts.Model,
 		Width:       opts.Width,
+		WithProof:   opts.Check,
 		StaticPrune: opts.StaticPrune,
 		Dataflow:    opts.Dataflow,
 		MHB:         opts.MHB,
 		RGRanges:    rgRanges,
 	})
-	opts.Spans.End(encSpan)
+	rep.EncodeTime = time.Since(encStart)
+	spans.End(encSpan)
 	if err != nil {
-		return Report{}, err
+		return rep, err
 	}
-	encodeTime := time.Since(encStart)
+	rep.EncodeStats = vc.Stats
+	// The encoder's pre-analysis shares are measured sub-phases: lay them
+	// out as children of the encode span.
 	if opts.StaticPrune {
-		opts.Spans.AddChild(encSpan, "encode.static", vc.Stats.StaticTime)
+		spans.AddChild(encSpan, "encode.static", vc.Stats.StaticTime)
 	}
 	if opts.Dataflow {
-		opts.Spans.AddChild(encSpan, "encode.dataflow", vc.Stats.DataflowTime)
+		spans.AddChild(encSpan, "encode.dataflow", vc.Stats.DataflowTime)
 	}
-
-	rep, err := solveVC(vc, opts, encodeTime)
-	if err != nil {
-		return Report{}, err
-	}
-	rep.EncodeTime = encodeTime
-	rep.RGStabilizeIters = rgIters
-	rep.RGSkippedPrefilter = rgSkipped
-	return rep, nil
+	err = solve(vc, opts, spans, root, &rep)
+	return rep, err
 }
+
+// runID is the run id a trace carries: "task/strategy".
+func (o Options) runID() string { return o.TraceTask + "/" + o.Strategy.String() }
 
 // resolveRG returns the caller's precomputed rely-guarantee result or runs
 // the engine for this (program, model, width).
@@ -325,25 +353,19 @@ func resolveRG(p *cprog.Program, opts Options) (*rg.Result, error) {
 	})
 }
 
-// SolveVC runs the backend on an already-encoded verification condition.
-// This is the seam the paper's evaluation measures: the same SMT instance is
-// solved with different decision strategies.
-func SolveVC(vc *encode.VC, opts Options) (Report, error) {
-	return solveVC(vc, opts, 0)
-}
-
-// solveVC is SolveVC with the caller's encode duration, so a trace opened
-// here records the full parse→encode→static→solve span set.
-func solveVC(vc *encode.VC, opts Options, encodeTime time.Duration) (Report, error) {
-	infos := core.ClassifyBuilder(vc.Builder)
-	dec := core.NewDecider(opts.Strategy, infos, deciderConfig(vc, opts))
-	var decider sat.Decider
-	if dec != nil {
-		decider = dec
+// solve is Verify's backend half: it builds the decision order, solves the
+// VC with the configured budgets and instruments, checks the verdict
+// (Options.Check) and closes the JSONL trace with the span tree.
+func solve(vc *encode.VC, opts Options, spans *obs.Trace, root int, rep *Report) error {
+	// The decision order and the trace's class map are the classification's
+	// only readers: a baseline run without a trace needs neither.
+	var infos []core.VarInfo
+	if opts.Strategy != Baseline || opts.TraceSink != nil {
+		infos = core.ClassifyBuilder(vc.Builder)
 	}
-	var deadline time.Time
-	if opts.Timeout > 0 {
-		deadline = time.Now().Add(opts.Timeout)
+	var decider sat.Decider
+	if dec := core.NewDecider(opts.Strategy, infos, deciderConfig(vc, opts.Seed)); dec != nil {
+		decider = dec
 	}
 	var tracer *telemetry.SolverTracer
 	var satTracer sat.Tracer
@@ -354,23 +376,23 @@ func solveVC(vc *encode.VC, opts Options, encodeTime time.Duration) (Report, err
 			Strategy: opts.Strategy.String(),
 			Model:    opts.Model.String(),
 			Every:    opts.TraceEvery,
+			RunID:    opts.runID(),
 		})
-		if encodeTime > 0 {
-			tracer.Span("encode", encodeTime)
-		}
-		tracer.Span("static", vc.Stats.StaticTime)
 		satTracer = tracer
 	}
+	var metrics *telemetry.MetricsTracer
+	if opts.Metrics != nil {
+		metrics = telemetry.NewMetricsTracer(opts.Metrics)
+		satTracer = telemetry.Combine(satTracer, metrics)
+	}
 	sopts := smt.Options{
-		Decider:               decider,
-		Deadline:              deadline,
-		MaxConflicts:          opts.MaxConflicts,
-		MaxDecisions:          opts.MaxDecisions,
-		MaxMemoryBytes:        opts.MaxMemoryBytes,
-		Context:               opts.Context,
-		EagerOrderPropagation: opts.EagerOrderPropagation,
-		Tracer:                satTracer,
-		TimePhases:            opts.TimePhases || tracer != nil || opts.Spans != nil,
+		Decider:        decider,
+		MaxConflicts:   opts.MaxConflicts,
+		MaxDecisions:   opts.MaxDecisions,
+		MaxMemoryBytes: opts.MaxMemoryBytes,
+		Context:        opts.Context,
+		Tracer:         satTracer,
+		TimePhases:     opts.TimePhases || spans != nil,
 	}
 	if opts.Faults != nil {
 		label := opts.FaultLabel
@@ -382,45 +404,78 @@ func solveVC(vc *encode.VC, opts Options, encodeTime time.Duration) (Report, err
 			return opts.Faults.Theory(label, th)
 		}
 	}
-	solveSpan := opts.Spans.Start("solve")
+	if opts.Timeout > 0 {
+		sopts.Deadline = time.Now().Add(opts.Timeout)
+	}
+	if opts.Metrics != nil {
+		running := opts.Metrics.Gauge("solves_running")
+		running.Add(1)
+		defer running.Add(-1)
+	}
+	solveSpan := spans.Start("solve")
 	res, err := vc.Builder.Solve(sopts)
-	opts.Spans.End(solveSpan)
+	if metrics != nil {
+		metrics.Flush()
+	}
+	spans.End(solveSpan)
 	if err != nil {
-		return Report{}, err
+		return err
 	}
-	opts.Spans.AddChild(solveSpan, "solve.bcp", res.Timings.BCP)
-	opts.Spans.AddChild(solveSpan, "solve.theory", res.Timings.Theory)
-	opts.Spans.AddChild(solveSpan, "solve.analyze", res.Timings.Analyze)
-	opts.Spans.AddChild(solveSpan, "solve.reduce", res.Timings.Reduce)
-	opts.Spans.AddChild(solveSpan, "solve.inprocess", res.Timings.Inprocess)
-	if tracer != nil {
-		tracer.Span("solve", res.Elapsed)
-		tracer.Span("solve.bcp", res.Timings.BCP)
-		tracer.Span("solve.theory", res.Timings.Theory)
-		tracer.Span("solve.analyze", res.Timings.Analyze)
-		tracer.Span("solve.reduce", res.Timings.Reduce)
-		tracer.Span("solve.inprocess", res.Timings.Inprocess)
-		if err := tracer.Close(res.StatsDelta); err != nil {
-			return Report{}, fmt.Errorf("zpre: trace sink: %w", err)
-		}
-	}
-	verdict := Unknown
+	rep.Status = res.Status
 	switch res.Status {
 	case sat.Sat:
-		verdict = Unsafe
+		rep.Verdict = Unsafe
 	case sat.Unsat:
-		verdict = Safe
+		rep.Verdict = Safe
 	}
-	return Report{
-		Verdict:       verdict,
-		Status:        res.Status,
-		Stop:          res.Stop,
-		SolverStats:   res.Stats,
-		EncodeStats:   vc.Stats,
-		SolveTime:     res.Elapsed,
-		SearchTimings: res.Timings,
-		OrderStats:    res.OrderStats,
-	}, nil
+	rep.Stop = res.Stop
+	rep.SolverStats = res.Stats
+	rep.SolveTime = res.Elapsed
+	rep.SearchTimings = res.Timings
+	rep.OrderStats = res.OrderStats
+	// The in-solve phase split comes from the solver's own timers, so the
+	// solve span's children sum exactly to sat.SearchTimings.
+	spans.AddChild(solveSpan, "solve.bcp", res.Timings.BCP)
+	spans.AddChild(solveSpan, "solve.theory", res.Timings.Theory)
+	spans.AddChild(solveSpan, "solve.analyze", res.Timings.Analyze)
+	spans.AddChild(solveSpan, "solve.reduce", res.Timings.Reduce)
+	spans.AddChild(solveSpan, "solve.inprocess", res.Timings.Inprocess)
+	if opts.Check {
+		checkSpan := spans.Start("check")
+		checkVerdict(vc, rep)
+		spans.End(checkSpan)
+	}
+	if tracer != nil {
+		// Close the root now so the trace carries the complete span tree.
+		spans.End(root)
+		for _, sp := range spans.Spans() {
+			tracer.SpanAt(sp.Name, sp.ID, sp.Parent, sp.Start, sp.Dur)
+		}
+		if err := tracer.Close(res.StatsDelta); err != nil {
+			return fmt.Errorf("zpre: trace sink: %w", err)
+		}
+	}
+	return nil
+}
+
+// checkVerdict validates a solved verdict independently of the solver: an
+// unsat answer by replaying its recorded refutation, a sat answer by
+// extracting and validating a witness schedule.
+func checkVerdict(vc *encode.VC, rep *Report) {
+	var err error
+	switch rep.Status {
+	case sat.Unsat:
+		err = vc.Builder.CheckProof(vc.Proof)
+	case sat.Sat:
+		var steps []witness.Step
+		if steps, err = witness.Extract(vc); err == nil {
+			err = witness.Validate(steps)
+		}
+	default:
+		return
+	}
+	rep.CheckErr = err
+	rep.ProofChecked = err == nil
 }
 
 // deciderConfig builds the strategy configuration for a solve, attaching
@@ -430,12 +485,8 @@ func solveVC(vc *encode.VC, opts Options, encodeTime time.Duration) (Report, err
 // accesses it proved must-ordered are down-ranked below every other pair:
 // their value is forced by unit propagation from the level-0 fixed edges,
 // so deciding them early is pure search noise.
-func deciderConfig(vc *encode.VC, opts Options) core.Config {
-	cfg := core.Config{
-		Seed:             opts.Seed,
-		Polarity:         opts.Polarity,
-		DisableNumWrites: opts.DisableNumWrites,
-	}
+func deciderConfig(vc *encode.VC, seed int64) core.Config {
+	cfg := core.Config{Seed: seed}
 	st, ordered := vc.Static, vc.MHBOrdered
 	if st != nil || ordered != nil {
 		cfg.Score = func(vi core.VarInfo) int {
@@ -511,7 +562,7 @@ func VerifyEach(p *cprog.Program, opts Options) ([]AssertReport, error) {
 		return nil, err
 	}
 	infos := core.ClassifyBuilder(vc.Builder)
-	dec := core.NewDecider(opts.Strategy, infos, deciderConfig(vc, opts))
+	dec := core.NewDecider(opts.Strategy, infos, deciderConfig(vc, opts.Seed))
 	var decider sat.Decider
 	if dec != nil {
 		decider = dec
@@ -549,47 +600,26 @@ func VerifyEach(p *cprog.Program, opts Options) ([]AssertReport, error) {
 	return out, nil
 }
 
-// VerifyWithProof runs Verify in checked mode: a Safe (unsat) verdict's
-// inference trace is validated by the independent proof checker
+// VerifyWithProof runs Verify with Options.Check on: a Safe (unsat)
+// verdict's inference trace is validated by the independent proof checker
 // (internal/proof), and an Unsafe (sat) verdict's model is linearised into
 // a witness schedule whose memory semantics are validated
 // (internal/witness). A rejection in either direction is returned as an
-// error — the solver may not vouch for itself.
+// error — the solver may not vouch for itself. Options.RG is ignored: an
+// UnboundedSafe verdict has no refutation to check.
 func VerifyWithProof(p *cprog.Program, opts Options) (Report, error) {
-	if opts.Unroll <= 0 {
-		opts.Unroll = 1
-	}
-	unrolled := cprog.Unroll(p, opts.Unroll, cprog.UnwindAssume)
-	vc, err := encode.Program(unrolled, encode.Options{
-		Model:       opts.Model,
-		Width:       opts.Width,
-		WithProof:   true,
-		StaticPrune: opts.StaticPrune,
-		Dataflow:    opts.Dataflow,
-		MHB:         opts.MHB,
-	})
+	opts.RG = false
+	opts.Check = true
+	rep, err := Verify(p, opts)
 	if err != nil {
 		return Report{}, err
 	}
-	rep, err := SolveVC(vc, opts)
-	if err != nil {
-		return Report{}, err
-	}
-	switch rep.Verdict {
-	case Safe:
-		if err := vc.Builder.CheckProof(vc.Proof); err != nil {
-			return Report{}, fmt.Errorf("unsat verdict failed proof checking: %w", err)
+	if rep.CheckErr != nil {
+		what := "unsat verdict failed proof checking"
+		if rep.Verdict == Unsafe {
+			what = "sat verdict failed witness validation"
 		}
-		rep.ProofChecked = true
-	case Unsafe:
-		steps, err := witness.Extract(vc)
-		if err != nil {
-			return Report{}, fmt.Errorf("sat verdict yielded no witness: %w", err)
-		}
-		if err := witness.Validate(steps); err != nil {
-			return Report{}, fmt.Errorf("sat verdict failed witness validation: %w", err)
-		}
-		rep.ProofChecked = true
+		return Report{}, fmt.Errorf("%s: %w", what, rep.CheckErr)
 	}
 	return rep, nil
 }

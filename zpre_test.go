@@ -5,7 +5,9 @@ import (
 	"time"
 
 	"zpre/internal/memmodel"
+	"zpre/internal/obs"
 	"zpre/internal/svcomp"
+	"zpre/internal/telemetry"
 )
 
 func TestParseProgramAndVerify(t *testing.T) {
@@ -324,4 +326,90 @@ func TestCheckedVerificationAcrossCorpus(t *testing.T) {
 		}
 	}
 	t.Logf("checked verdicts: %d", checked)
+}
+
+// TestTraceSinkCarriesSpanTree: the JSONL span records Verify writes rebuild
+// exactly the span tree it records in Options.Spans, rooted at "run" and
+// covering the checked pipeline; the meta record carries the run id. Without
+// Options.Spans the trace still closes with a run-rooted tree.
+func TestTraceSinkCarriesSpanTree(t *testing.T) {
+	var peterson *svcomp.Benchmark
+	for _, b := range svcomp.Lit() {
+		if b.Name == "peterson" {
+			bb := b
+			peterson = &bb
+		}
+	}
+	opts := Options{
+		Model: TSO, Strategy: ZPRE, Seed: 1, Unroll: 2,
+		StaticPrune: true, Dataflow: true, Check: true, TraceTask: "lit/peterson",
+	}
+
+	sink := &telemetry.MemorySink{}
+	spans := obs.NewTrace("lit/peterson/zpre")
+	withSpans := opts
+	withSpans.TraceSink, withSpans.Spans = sink, spans
+	rep, err := Verify(peterson.Program, withSpans)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.ProofChecked {
+		t.Fatalf("verdict %v not checked (err %v)", rep.Verdict, rep.CheckErr)
+	}
+	want := spans.Spans()
+	got := traceSpans(t, sink, "lit/peterson/zpre")
+	if len(got) != len(want) {
+		t.Fatalf("trace has %d span records, Spans has %d", len(got), len(want))
+	}
+	for i, sp := range want {
+		g := got[i]
+		if g.Name != sp.Name || g.SpanID != sp.ID || g.ParID != sp.Parent ||
+			g.StartNS != sp.Start.Nanoseconds() || g.DurNS != sp.Dur.Nanoseconds() {
+			t.Errorf("span record %d = %+v, Spans has %+v", i, g, sp)
+		}
+	}
+	parents := map[string]string{}
+	names := map[int]string{}
+	for _, sp := range want {
+		names[sp.ID] = sp.Name
+	}
+	for _, sp := range want {
+		parents[sp.Name] = names[sp.Parent]
+	}
+	for child, parent := range map[string]string{
+		"run": "", "unroll": "run", "encode": "run", "solve": "run", "check": "run",
+		"encode.static": "encode", "encode.dataflow": "encode", "solve.bcp": "solve",
+	} {
+		if p, ok := parents[child]; !ok || p != parent {
+			t.Errorf("span %s: parent %q (present %v), want %q", child, p, ok, parent)
+		}
+	}
+
+	sink = &telemetry.MemorySink{}
+	private := opts
+	private.TraceSink = sink
+	if _, err := Verify(peterson.Program, private); err != nil {
+		t.Fatal(err)
+	}
+	got = traceSpans(t, sink, "lit/peterson/zpre")
+	if len(got) == 0 || got[0].Name != "run" || got[0].ParID != 0 {
+		t.Fatalf("trace without Options.Spans lacks a run root: %+v", got)
+	}
+}
+
+// traceSpans cross-checks a Verify trace, checks its run id and returns its
+// span records.
+func traceSpans(t *testing.T, sink *telemetry.MemorySink, runID string) []telemetry.Event {
+	t.Helper()
+	rep, err := telemetry.AnalyzeTrace(sink.Events, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rep.CrossCheck(); err != nil {
+		t.Fatal(err)
+	}
+	if rep.Meta == nil || rep.Meta.Run != runID {
+		t.Fatalf("meta record %+v, want run id %q", rep.Meta, runID)
+	}
+	return rep.Spans
 }
